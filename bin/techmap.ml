@@ -104,8 +104,10 @@ let mode_of_string = function
 
 let print_mapper_stats ~cache_enabled (run : Mapper.stats)
     (par : Parmap.par_stats option) =
-  Printf.printf "stats: label %.3fs, cover %.3fs, %d matches tried\n"
-    run.Mapper.label_seconds run.Mapper.cover_seconds run.Mapper.matches_tried;
+  Printf.printf
+    "stats: label %.3fs, cover %.3fs, %d matches tried, %d patterns tried\n"
+    run.Mapper.label_seconds run.Mapper.cover_seconds run.Mapper.matches_tried
+    run.Mapper.patterns_tried;
   if run.Mapper.super_matches_tried > 0 || run.Mapper.super_gates_used > 0 then
     Printf.printf
       "stats: supergates: %d matches tried, %d instances in cover\n"

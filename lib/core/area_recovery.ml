@@ -14,17 +14,19 @@ let area_flow db cls g ~fanouts ~levels =
     | Spi -> af.(node) <- 0.0
     | Snand _ | Sinv _ ->
       let best = ref infinity in
-      Matchdb.for_each_node_match db cls g ~fanouts ~levels node (fun m ->
-          let gate = Matcher.gate m in
-          let cost = ref gate.Gate.area in
-          Array.iter
-            (fun pin_node ->
-              if pin_node >= 0 then
-                cost :=
-                  !cost
-                  +. (af.(pin_node) /. float_of_int (max 1 fanouts.(pin_node))))
-            m.Matcher.pins;
-          if !cost < !best then best := !cost);
+      ignore
+        (Matchdb.for_each_node_match db cls g ~fanouts ~levels node (fun m ->
+             let gate = Matcher.gate m in
+             let cost = ref gate.Gate.area in
+             Array.iter
+               (fun pin_node ->
+                 if pin_node >= 0 then
+                   cost :=
+                     !cost
+                     +. (af.(pin_node)
+                        /. float_of_int (max 1 fanouts.(pin_node))))
+               m.Matcher.pins;
+             if !cost < !best then best := !cost));
       af.(node) <- !best
   done;
   af
@@ -61,37 +63,38 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
     if needed.(node) then begin
       let best = ref None in
       let best_cost = ref (infinity, infinity) in
-      Matchdb.for_each_node_match db cls g ~fanouts ~levels node (fun m ->
-          let gate = Matcher.gate m in
-          let arrival = ref 0.0 in
-          Array.iteri
-            (fun pin pin_node ->
-              if pin_node >= 0 then
-                arrival :=
-                  Float.max !arrival
-                    (labels.(pin_node) +. Gate.intrinsic_delay gate pin))
-            m.Matcher.pins;
-          if !arrival <= budget.(node) +. epsilon then begin
-            let area = ref gate.Gate.area in
-            let counted = ref [] in
-            Array.iter
-              (fun pin_node ->
-                if
-                  pin_node >= 0
-                  && (not needed.(pin_node))
-                  && (not (List.mem pin_node !counted))
-                  && Subject.kind g pin_node <> Spi
-                then begin
-                  counted := pin_node :: !counted;
-                  area := !area +. af.(pin_node)
-                end)
-              m.Matcher.pins;
-            let cost = (!area, !arrival) in
-            if cost < !best_cost then begin
-              best_cost := cost;
-              best := Some m
-            end
-          end);
+      ignore
+        (Matchdb.for_each_node_match db cls g ~fanouts ~levels node (fun m ->
+             let gate = Matcher.gate m in
+             let arrival = ref 0.0 in
+             Array.iteri
+               (fun pin pin_node ->
+                 if pin_node >= 0 then
+                   arrival :=
+                     Float.max !arrival
+                       (labels.(pin_node) +. Gate.intrinsic_delay gate pin))
+               m.Matcher.pins;
+             if !arrival <= budget.(node) +. epsilon then begin
+               let area = ref gate.Gate.area in
+               let counted = ref [] in
+               Array.iter
+                 (fun pin_node ->
+                   if
+                     pin_node >= 0
+                     && (not needed.(pin_node))
+                     && (not (List.mem pin_node !counted))
+                     && Subject.kind g pin_node <> Spi
+                   then begin
+                     counted := pin_node :: !counted;
+                     area := !area +. af.(pin_node)
+                   end)
+                 m.Matcher.pins;
+               let cost = (!area, !arrival) in
+               if cost < !best_cost then begin
+                 best_cost := cost;
+                 best := Some m
+               end
+             end));
       let m =
         match !best with
         | Some m -> m

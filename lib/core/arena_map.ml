@@ -12,26 +12,13 @@ type labels = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let aget = Bigarray.Array1.unsafe_get
 
-(* Kind codes, aligned with Matchdb's category indices:
-   0 = PI (matches only leaves), 1 = INV, 2 = NAND. *)
-let kcode a i =
-  if aget a.Arena.fanin0 i < 0 then 0
-  else if aget a.Arena.fanin1 i < 0 then 1
-  else 2
-
-(* A category index accepts a kind code: leaves accept anything,
-   inv/nand require the like kind (Matchdb.cat_matches). *)
-let cat_ok cat k = cat = 0 || cat = k
-
 (* ------------------------------------------------------------------ *)
 (* Matcher (port of Matcher.for_each_match)                            *)
 (* ------------------------------------------------------------------ *)
 
 let for_each_match cls a ~fanouts p root f =
   let nodes = p.Pattern.nodes in
-  let n = Array.length nodes in
-  let binding = Array.make n (-1) in
-  let bound_to = Hashtbl.create 16 in
+  let binding = Array.make (Array.length nodes) (-1) in
   let injective =
     match cls with
     | Matcher.Standard | Matcher.Exact -> true
@@ -39,10 +26,11 @@ let for_each_match cls a ~fanouts p root f =
   in
   let f0 = a.Arena.fanin0 and f1 = a.Arena.fanin1 in
   let rec go pid sid k =
-    if binding.(pid) >= 0 then begin
-      if binding.(pid) = sid then k ()
+    let b = binding.(pid) in
+    if b >= 0 then begin
+      if b = sid then k ()
     end
-    else if injective && Hashtbl.mem bound_to sid then ()
+    else if injective && Matcher.bound binding sid then ()
     else begin
       let fanout_ok =
         match cls, nodes.(pid) with
@@ -50,95 +38,42 @@ let for_each_match cls a ~fanouts p root f =
           pid = p.Pattern.root || fanouts.(sid) = p.Pattern.fanout.(pid)
         | (Matcher.Exact | Matcher.Standard | Matcher.Extended), _ -> true
       in
-      if fanout_ok then begin
-        let bind () =
-          binding.(pid) <- sid;
-          if injective then Hashtbl.add bound_to sid pid
-        in
-        let unbind () =
-          binding.(pid) <- -1;
-          if injective then Hashtbl.remove bound_to sid
-        in
+      if fanout_ok then
         match nodes.(pid) with
         | Pattern.Pleaf _ ->
-          bind ();
+          binding.(pid) <- sid;
           k ();
-          unbind ()
+          binding.(pid) <- -1
         | Pattern.Pinv c ->
           let x = aget f0 sid in
           if x >= 0 && aget f1 sid < 0 then begin
-            bind ();
+            binding.(pid) <- sid;
             go c x k;
-            unbind ()
+            binding.(pid) <- -1
           end
         | Pattern.Pnand (pa, pb) ->
           let x = aget f0 sid in
           if x >= 0 then begin
             let y = aget f1 sid in
             if y >= 0 then begin
-              bind ();
+              binding.(pid) <- sid;
               go pa x (fun () -> go pb y k);
               if x <> y then go pa y (fun () -> go pb x k);
-              unbind ()
+              binding.(pid) <- -1
             end
           end
-      end
     end
   in
-  let seen = Hashtbl.create 4 in
-  let emit () =
-    let pins = Array.make (Gate.num_pins p.Pattern.gate) (-1) in
-    Array.iteri
-      (fun i pin -> if pin >= 0 then pins.(pin) <- binding.(i))
-      p.Pattern.pin_of_leaf;
-    let key = Array.to_list pins in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      let covered = ref [] in
-      Array.iteri
-        (fun i pn ->
-          match pn with
-          | Pattern.Pleaf _ -> ()
-          | Pattern.Pinv _ | Pattern.Pnand _ ->
-            covered := binding.(i) :: !covered)
-        nodes;
-      let covered = Array.of_list (List.sort_uniq compare !covered) in
-      f { Matcher.pattern = p; pins; covered }
-    end
-  in
-  go p.Pattern.root root emit
+  go p.Pattern.root root (Matcher.emitter p binding f)
 
 (* ------------------------------------------------------------------ *)
-(* Enumeration (port of Matchdb.enumerate over the exposed buckets)    *)
+(* Enumeration (port of Matchdb.enumerate over the shared shape index) *)
 (* ------------------------------------------------------------------ *)
 
 let enumerate db cls a ~fanouts ~levels node f =
-  let try_pattern p =
-    if p.Pattern.depth <= levels.(node) then
-      for_each_match cls a ~fanouts p node f
-  in
-  let x = aget a.Arena.fanin0 node in
-  if x >= 0 then begin
-    let y = aget a.Arena.fanin1 node in
-    if y < 0 then begin
-      let kx = kcode a x in
-      for cat = 0 to 2 do
-        if cat_ok cat kx then List.iter try_pattern (Matchdb.inv_bucket db cat)
-      done
-    end
-    else begin
-      let kx = kcode a x and ky = kcode a y in
-      for lo = 0 to 2 do
-        for hi = lo to 2 do
-          let compatible =
-            (cat_ok lo kx && cat_ok hi ky) || (cat_ok lo ky && cat_ok hi kx)
-          in
-          if compatible then
-            List.iter try_pattern (Matchdb.nand_bucket db lo hi)
-        done
-      done
-    end
-  end
+  Matchdb.for_each_candidate db ~fanin0:(Arena.fanin0 a)
+    ~fanin1:(Arena.fanin1 a) ~level:levels.(node) node (fun p ->
+      for_each_match cls a ~fanouts p node f)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical-signature match cache (port of Matchdb's)                 *)
@@ -309,15 +244,19 @@ let for_each_node_match ?cache db cls a ~fanouts ~levels node f =
       match Hashtbl.find_opt c.table key with
       | Some entries ->
         count_hit c;
-        List.iter (fun e -> f (translate c e)) entries
+        List.iter (fun e -> f (translate c e)) entries;
+        0
       | None ->
         count_miss c;
         maybe_retire c;
         let acc = ref [] in
-        enumerate db cls a ~fanouts ~levels node (fun m ->
-            acc := intern c m :: !acc;
-            f m);
-        if not c.disabled then Hashtbl.replace c.table key (List.rev !acc)
+        let tried =
+          enumerate db cls a ~fanouts ~levels node (fun m ->
+              acc := intern c m :: !acc;
+              f m)
+        in
+        if not c.disabled then Hashtbl.replace c.table key (List.rev !acc);
+        tried
     end
   end
 
@@ -348,17 +287,19 @@ let label_node ?cache cls db a ~fanouts ~levels ~labels ~best node =
   let tried = ref 0 in
   let super_tried = ref 0 in
   let best_cost = ref (infinity, infinity, max_int) in
-  for_each_node_match ?cache db cls a ~fanouts ~levels node (fun m ->
-      incr tried;
-      let gate = Matcher.gate m in
-      if Gate.is_super gate then incr super_tried;
-      let arrival = match_arrival labels m in
-      let area = gate.Gate.area in
-      let pins = Gate.num_pins gate in
-      if better arrival area pins !best_cost then begin
-        best_cost := (arrival, area, pins);
-        best.(node) <- Some m
-      end);
+  let patterns =
+    for_each_node_match ?cache db cls a ~fanouts ~levels node (fun m ->
+        incr tried;
+        let gate = Matcher.gate m in
+        if Gate.is_super gate then incr super_tried;
+        let arrival = match_arrival labels m in
+        let area = gate.Gate.area in
+        let pins = Gate.num_pins gate in
+        if better arrival area pins !best_cost then begin
+          best_cost := (arrival, area, pins);
+          best.(node) <- Some m
+        end)
+  in
   (match best.(node) with
    | Some _ ->
      let arrival, _, _ = !best_cost in
@@ -370,11 +311,10 @@ let label_node ?cache cls db a ~fanouts ~levels ~labels ~best node =
             description =
               Printf.sprintf "no %s match for subject node %d"
                 (Matcher.class_name cls) node }));
-  (!tried, !super_tried)
+  (!tried, !super_tried, patterns)
 
-let label ?(pi_arrival = fun _ -> 0.0) ?(cache = true) mode db a =
+let label ?(pi_arrival = fun _ -> 0.0) ?cache mode db a =
   let cls = Mapper.mode_class mode in
-  let cache = if cache then Some (create_cache ()) else None in
   let n = Arena.num_nodes a in
   let fanouts = Arena.fanout_counts a in
   let levels = Arena.levels a in
@@ -384,18 +324,20 @@ let label ?(pi_arrival = fun _ -> 0.0) ?(cache = true) mode db a =
   let best : Matcher.mtch option array = Array.make n None in
   let tried = ref 0 in
   let super_tried = ref 0 in
+  let patterns = ref 0 in
   for node = 0 to n - 1 do
     if aget a.Arena.fanin0 node < 0 then
       Bigarray.Array1.unsafe_set labels node (pi_arrival node)
     else begin
-      let t, st =
+      let t, st, pt =
         label_node ?cache cls db a ~fanouts ~levels ~labels ~best node
       in
       tried := !tried + t;
-      super_tried := !super_tried + st
+      super_tried := !super_tried + st;
+      patterns := !patterns + pt
     end
   done;
-  (labels, best, (!tried, !super_tried))
+  (labels, best, (!tried, !super_tried, !patterns))
 
 (* ------------------------------------------------------------------ *)
 (* Cover construction (port of Mapper.cover)                           *)
@@ -460,32 +402,10 @@ let map ?(cache = true) ?subject mode db a =
   let subject =
     match subject with Some s -> s | None -> Arena.to_subject a
   in
-  let cls = Mapper.mode_class mode in
   let cache = if cache then Some (create_cache ()) else None in
   let t0 = Clock.now () in
-  let labels, best, (tried, super_tried) =
-    Span.with_span ~cat:"mapper" "label" (fun () ->
-        let n = Arena.num_nodes a in
-        let fanouts = Arena.fanout_counts a in
-        let levels = Arena.levels a in
-        let labels =
-          Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
-        in
-        let best : Matcher.mtch option array = Array.make n None in
-        let tried = ref 0 in
-        let super_tried = ref 0 in
-        for node = 0 to n - 1 do
-          if aget a.Arena.fanin0 node < 0 then
-            Bigarray.Array1.unsafe_set labels node 0.0
-          else begin
-            let t, st =
-              label_node ?cache cls db a ~fanouts ~levels ~labels ~best node
-            in
-            tried := !tried + t;
-            super_tried := !super_tried + st
-          end
-        done;
-        (labels, best, (!tried, !super_tried)))
+  let labels, best, (tried, super_tried, patterns_tried) =
+    Span.with_span ~cat:"mapper" "label" (fun () -> label ?cache mode db a)
   in
   let t1 = Clock.now () in
   let netlist =
@@ -508,5 +428,6 @@ let map ?(cache = true) ?subject mode db a =
     run =
       { Mapper.label_seconds = t1 -. t0; cover_seconds = t2 -. t1;
         matches_tried = tried; super_matches_tried = super_tried;
+        patterns_tried;
         cache_hits = ch; cache_misses = cm; cache_lookups = cl;
         super_gates_used = Mapper.super_gates_in netlist } }

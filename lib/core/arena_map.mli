@@ -32,6 +32,20 @@ val cache_lookups : cache -> int
 (** Conservation invariant as for {!Matchdb}:
     [cache_lookups c = cache_hits c + cache_misses c]. *)
 
+val for_each_node_match :
+  ?cache:cache ->
+  Matchdb.t ->
+  Matcher.match_class ->
+  Arena.t ->
+  fanouts:int array ->
+  levels:int array ->
+  int ->
+  (Matcher.mtch -> unit) ->
+  int
+(** Arena port of {!Matchdb.for_each_node_match}: the same matches in
+    the same order, and the same count of patterns tried. [fanouts]
+    and [levels] must be {!Arena.fanout_counts} and {!Arena.levels}. *)
+
 val label_node :
   ?cache:cache ->
   Matcher.match_class ->
@@ -42,10 +56,11 @@ val label_node :
   labels:labels ->
   best:Matcher.mtch option array ->
   int ->
-  int * int
+  int * int * int
 (** The DP kernel for one NAND/INV arena node; mirrors
     {!Mapper.label_node} (fills [labels.{node}] and [best.(node)],
-    returns [(matches tried, supergate matches tried)], raises
+    returns [(matches tried, supergate matches tried, patterns
+    tried)], raises
     {!Mapper.Unmappable} when no match exists). Reads only
     strictly-lower-level entries of [labels], so calls within one
     topological level are independent — the arena-parallel labeler in
@@ -53,14 +68,14 @@ val label_node :
 
 val label :
   ?pi_arrival:(int -> float) ->
-  ?cache:bool ->
+  ?cache:cache ->
   Mapper.mode ->
   Matchdb.t ->
   Arena.t ->
-  labels * Matcher.mtch option array * (int * int)
-(** Labeling pass; mirrors {!Mapper.label} ([cache] here is a flag —
-    the arena cache is created internally). Raises
-    {!Mapper.Unmappable} as the legacy pass does. *)
+  labels * Matcher.mtch option array * (int * int * int)
+(** Labeling pass; mirrors {!Mapper.label}, including the optional
+    [cache] (none by default). Raises {!Mapper.Unmappable} as the
+    legacy pass does. *)
 
 val cover : Arena.t -> subject:Subject.t -> Matcher.mtch option array -> Netlist.t
 (** Cover construction from a completed best-match array. [subject]

@@ -21,6 +21,7 @@ type stats = {
   cover_seconds : float;
   matches_tried : int;
   super_matches_tried : int;
+  patterns_tried : int;
   cache_hits : int;
   cache_misses : int;
   cache_lookups : int;
@@ -70,22 +71,26 @@ let better arrival area pins (best_arrival, best_area, best_pins) =
    match. Reads only labels of fanin-cone nodes (strictly smaller
    levels), writes only [labels.(node)] and [best.(node)] — which is
    what lets Parmap run a whole topological level of these calls
-   concurrently. Returns the number of matches considered. *)
+   concurrently. Returns the numbers of matches considered and of
+   patterns tried. *)
 let label_node ?cache cls db g ~fanouts ~levels ~labels ~best node =
   let tried = ref 0 in
   let super_tried = ref 0 in
   let best_cost = ref (infinity, infinity, max_int) in
-  Matchdb.for_each_node_match ?cache db cls g ~fanouts ~levels node (fun m ->
-      incr tried;
-      let gate = Matcher.gate m in
-      if Gate.is_super gate then incr super_tried;
-      let arrival = match_arrival labels m in
-      let area = gate.Gate.area in
-      let pins = Gate.num_pins gate in
-      if better arrival area pins !best_cost then begin
-        best_cost := (arrival, area, pins);
-        best.(node) <- Some m
-      end);
+  let patterns =
+    Matchdb.for_each_node_match ?cache db cls g ~fanouts ~levels node
+      (fun m ->
+        incr tried;
+        let gate = Matcher.gate m in
+        if Gate.is_super gate then incr super_tried;
+        let arrival = match_arrival labels m in
+        let area = gate.Gate.area in
+        let pins = Gate.num_pins gate in
+        if better arrival area pins !best_cost then begin
+          best_cost := (arrival, area, pins);
+          best.(node) <- Some m
+        end)
+  in
   (match best.(node) with
    | Some _ ->
      let arrival, _, _ = !best_cost in
@@ -97,7 +102,7 @@ let label_node ?cache cls db g ~fanouts ~levels ~labels ~best node =
             description =
               Printf.sprintf "no %s match for subject node %d"
                 (Matcher.class_name cls) node }));
-  (!tried, !super_tried)
+  (!tried, !super_tried, patterns)
 
 let label ?(pi_arrival = fun _ -> 0.0) ?cache mode db g =
   let cls = mode_class mode in
@@ -108,15 +113,19 @@ let label ?(pi_arrival = fun _ -> 0.0) ?cache mode db g =
   let best : Matcher.mtch option array = Array.make n None in
   let tried = ref 0 in
   let super_tried = ref 0 in
+  let patterns = ref 0 in
   for node = 0 to n - 1 do
     match Subject.kind g node with
     | Spi -> labels.(node) <- pi_arrival node
     | Snand _ | Sinv _ ->
-      let t, st = label_node ?cache cls db g ~fanouts ~levels ~labels ~best node in
+      let t, st, pt =
+        label_node ?cache cls db g ~fanouts ~levels ~labels ~best node
+      in
       tried := !tried + t;
-      super_tried := !super_tried + st
+      super_tried := !super_tried + st;
+      patterns := !patterns + pt
   done;
-  (labels, best, (!tried, !super_tried))
+  (labels, best, (!tried, !super_tried, !patterns))
 
 (* Cover construction (paper §3.3): a queue seeded with the output
    drivers; each popped node contributes one gate instance whose
@@ -193,7 +202,7 @@ let super_gates_in netlist =
 let map ?(cache = true) mode db g =
   let cache = if cache then Some (Matchdb.create_cache db) else None in
   let t0 = Clock.now () in
-  let labels, best, (tried, super_tried) =
+  let labels, best, (tried, super_tried, patterns_tried) =
     Span.with_span ~cat:"mapper" "label" (fun () -> label ?cache mode db g)
   in
   let t1 = Clock.now () in
@@ -215,6 +224,7 @@ let map ?(cache = true) mode db g =
     run =
       { label_seconds = t1 -. t0; cover_seconds = t2 -. t1;
         matches_tried = tried; super_matches_tried = super_tried;
+        patterns_tried;
         cache_hits = ch; cache_misses = cm; cache_lookups = cl;
         super_gates_used = super_gates_in netlist } }
 

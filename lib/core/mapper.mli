@@ -43,6 +43,12 @@ type stats = {
   super_matches_tried : int;
       (** subset of [matches_tried] whose gate is a supergate
           ({!Dagmap_genlib.Gate.is_super}) *)
+  patterns_tried : int;
+      (** patterns handed to the structural matcher while labeling,
+          whether or not they matched; cache hits replay without
+          trying any. Deterministic for one cache, but with caching
+          on and several domains it depends on which worker's cache
+          sees a shape first, like the hit/miss split *)
   cache_hits : int;      (** match-cache hits (0 when caching is off) *)
   cache_misses : int;
   cache_lookups : int;   (** = hits + misses *)
@@ -69,9 +75,9 @@ val label :
   mode ->
   Matchdb.t ->
   Subject.t ->
-  float array * Matcher.mtch option array * (int * int)
+  float array * Matcher.mtch option array * (int * int * int)
 (** Labeling pass only: optimal arrival and best match per node,
-    plus [(matches tried, supergate matches tried)]. [pi_arrival]
+    plus [(matches tried, supergate matches tried, patterns tried)]. [pi_arrival]
     overrides the arrival time of a PI node (default 0 everywhere) —
     the sequential extension uses it to inject latch-output
     arrivals. *)
@@ -86,10 +92,11 @@ val label_node :
   labels:float array ->
   best:Matcher.mtch option array ->
   int ->
-  int * int
+  int * int * int
 (** The DP kernel for one NAND/INV node: fills [labels.(node)] and
     [best.(node)] from the labels of its fanin cone and returns
-    [(matches considered, supergate matches considered)]. Raises
+    [(matches considered, supergate matches considered, patterns
+    tried)]. Raises
     {!Unmappable} if the node
     has no match. Reads only strictly-lower-level entries of
     [labels], so calls within one topological level are independent —

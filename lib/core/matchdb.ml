@@ -2,58 +2,155 @@ open Dagmap_genlib
 open Dagmap_subject
 open Dagmap_obs
 
-(* Category of a pattern node as seen from its parent: a leaf matches
-   any subject node; inverters and NANDs must match like kinds. *)
-type cat = Cl | Ci | Cn
+(* ------------------------------------------------------------------ *)
+(* Shape index                                                         *)
+(* ------------------------------------------------------------------ *)
 
-let cat_of_pnode p i =
-  match p.Pattern.nodes.(i) with
-  | Pattern.Pleaf _ -> Cl
-  | Pattern.Pinv _ -> Ci
-  | Pattern.Pnand _ -> Cn
+(* A node's [shape] is the unordered NAND/INV/PI tree its fanin cone
+   unfolds to over [shape_levels] levels, with the nodes one level
+   further down left opaque. [shape_count.(d)] counts the shapes of
+   depth [d]: one opaque shape at depth 0, then a PI, an INV over any
+   shape of depth [d - 1], or a NAND over an unordered pair of them.
+   The codes of depth [d] are dense in [0, shape_count.(d)): 0 is a
+   PI, [1 + c] an INV over code [c], and past those the NAND pairs in
+   triangular order. Four levels give 2,278 codes; five would give
+   ~2.6M. *)
+let shape_levels = 4
+let shape_count = [| 1; 3; 10; 66; 2278 |]
 
-let cat_matches cat (k : Subject.kind) =
-  match cat, k with
-  | Cl, _ -> true
-  | Ci, Sinv _ -> true
-  | Cn, Snand _ -> true
-  | (Ci | Cn), _ -> false
+let rec shape_code ~fanin0 ~fanin1 d node =
+  if d = 0 then 0
+  else
+    let x = fanin0 node in
+    if x < 0 then 0
+    else
+      let cx = shape_code ~fanin0 ~fanin1 (d - 1) x in
+      let y = fanin1 node in
+      if y < 0 then 1 + cx
+      else
+        let cy = shape_code ~fanin0 ~fanin1 (d - 1) y in
+        let lo = min cx cy and hi = max cx cy in
+        1 + shape_count.(d - 1) + (hi * (hi + 1) / 2) + lo
+
+(* What a pattern demands of the shape it roots at: its tree
+   unfolding over [shape_levels] levels, with leaves and the nodes
+   one level further down as wildcards. NAND children are sorted, as
+   [fits] tries both orders anyway; many patterns share a demand, so
+   [prepare] dedupes them and a slot fill checks each one once. *)
+type demand = Any | Inv of demand | Nand of demand * demand
+
+let rec demand_of p pid d =
+  match p.Pattern.nodes.(pid) with
+  | Pattern.Pleaf _ -> Any
+  | (Pattern.Pinv _ | Pattern.Pnand _) when d = 0 -> Any
+  | Pattern.Pinv c -> Inv (demand_of p c (d - 1))
+  | Pattern.Pnand (a, b) ->
+    let da = demand_of p a (d - 1) and db = demand_of p b (d - 1) in
+    if compare da db <= 0 then Nand (da, db) else Nand (db, da)
+
+(* Sharing-blind compatibility of a demand with subject node [node]:
+   kinds must agree along every path of the pattern's tree unfolding,
+   in either NAND child order. Every match of any class binds pattern
+   edges to subject edges of like kinds, so this is necessary for a
+   match; it reads only what the shape code records, so it is equal
+   on nodes of equal code. *)
+let rec fits ~fanin0 ~fanin1 dm node =
+  match dm with
+  | Any -> true
+  | Inv c ->
+    let x = fanin0 node in
+    x >= 0 && fanin1 node < 0 && fits ~fanin0 ~fanin1 c x
+  | Nand (a, b) ->
+    let x = fanin0 node and y = fanin1 node in
+    x >= 0 && y >= 0
+    && ((fits ~fanin0 ~fanin1 a x && fits ~fanin0 ~fanin1 b y)
+        || (fits ~fanin0 ~fanin1 a y && fits ~fanin0 ~fanin1 b x))
+
+(* Patterns of one root kind, in enumeration order, each tagged with
+   the index of its demand in [demands]. *)
+type rooted = {
+  patterns : Pattern.t array;
+  demand_ix : int array;
+  demands : demand array;
+}
+
+let rooted patterns =
+  let ids = Hashtbl.create 64 and demands = ref [] in
+  let demand_ix =
+    Array.map
+      (fun p ->
+        let dm = demand_of p p.Pattern.root shape_levels in
+        match Hashtbl.find_opt ids dm with
+        | Some i -> i
+        | None ->
+          let i = Hashtbl.length ids in
+          Hashtbl.add ids dm i;
+          demands := dm :: !demands;
+          i)
+      patterns
+  in
+  { patterns; demand_ix; demands = Array.of_list (List.rev !demands) }
 
 type t = {
   lib : Libraries.t;
-  (* NAND-rooted patterns bucketed by the unordered pair of child
-     categories; INV-rooted by the single child category. *)
-  nand_buckets : Pattern.t list array array; (* [cat][cat], cat_a <= cat_b *)
-  inv_buckets : Pattern.t list array;
+  (* INV- and NAND-rooted patterns in enumeration order. The order is
+     the walk of the former top-two-level buckets (see [bucket_rank]);
+     it decides ties between equally good matches, so it is part of
+     the bit-identity contract. *)
+  inv_rooted : rooted;
+  nand_rooted : rooted;
+  shapes : Pattern.t array option array;
+      (* shape code -> the patterns of the matching [*_rooted] that
+         fit it, filled on first use (see [candidates]) *)
   max_depth : int;  (* deepest pattern, in edges; bounds every cone *)
   mutable boolean_memo : Boolean_match.t option;
       (* lazily-built Boolean index over the same library (incl. any
          supergates), shared by the cut mappers — see [boolean] *)
 }
 
-let cat_index = function Cl -> 0 | Ci -> 1 | Cn -> 2
+(* Category of a pattern node seen from its parent: 0 = leaf, 1 = INV,
+   2 = NAND. INV roots rank by their child's category; NAND roots by
+   the unordered pair of child categories (lo, hi), in the order
+   (0,0) (0,1) (0,2) (1,1) (1,2) (2,2). *)
+let category p i =
+  match p.Pattern.nodes.(i) with
+  | Pattern.Pleaf _ -> 0
+  | Pattern.Pinv _ -> 1
+  | Pattern.Pnand _ -> 2
+
+let bucket_rank p =
+  match p.Pattern.nodes.(p.Pattern.root) with
+  | Pattern.Pleaf _ -> 0
+  | Pattern.Pinv c -> category p c
+  | Pattern.Pnand (a, b) ->
+    let ca = category p a and cb = category p b in
+    let lo = min ca cb and hi = max ca cb in
+    (lo * (5 - lo) / 2) + hi
 
 let prepare lib =
-  let nand_buckets = Array.make_matrix 3 3 [] in
-  let inv_buckets = Array.make 3 [] in
-  let max_depth = ref 1 in
-  List.iter
-    (fun p ->
-      max_depth := max !max_depth p.Pattern.depth;
-      match p.Pattern.nodes.(p.Pattern.root) with
-      | Pattern.Pleaf _ ->
-        (* Wire/buffer patterns cannot root a cover. *)
-        ()
-      | Pattern.Pinv c ->
-        let i = cat_index (cat_of_pnode p c) in
-        inv_buckets.(i) <- p :: inv_buckets.(i)
-      | Pattern.Pnand (a, b) ->
-        let ia = cat_index (cat_of_pnode p a) in
-        let ib = cat_index (cat_of_pnode p b) in
-        let lo, hi = if ia <= ib then (ia, ib) else (ib, ia) in
-        nand_buckets.(lo).(hi) <- p :: nand_buckets.(lo).(hi))
-    lib.Libraries.patterns;
-  { lib; nand_buckets; inv_buckets; max_depth = !max_depth;
+  (* Within a rank the order is reverse library order, as the former
+     buckets were built by consing. *)
+  let ranked =
+    List.stable_sort
+      (fun p q -> compare (bucket_rank p) (bucket_rank q))
+      (List.rev lib.Libraries.patterns)
+  in
+  let rooted_by f =
+    rooted
+      (Array.of_list
+         (List.filter (fun p -> f p.Pattern.nodes.(p.Pattern.root)) ranked))
+  in
+  let max_depth =
+    List.fold_left
+      (fun acc p -> max acc p.Pattern.depth)
+      1 lib.Libraries.patterns
+  in
+  (* Wire/buffer patterns (leaf roots) cannot root a cover. *)
+  { lib;
+    inv_rooted = rooted_by (function Pattern.Pinv _ -> true | _ -> false);
+    nand_rooted = rooted_by (function Pattern.Pnand _ -> true | _ -> false);
+    shapes = Array.make shape_count.(shape_levels) None;
+    max_depth;
     boolean_memo = None }
 
 let library db = db.lib
@@ -75,36 +172,54 @@ let boolean db =
 let num_patterns db = List.length db.lib.Libraries.patterns
 
 let max_depth db = db.max_depth
-let inv_bucket db i = db.inv_buckets.(i)
-let nand_bucket db lo hi = db.nand_buckets.(lo).(hi)
 
-let cats = [| Cl; Ci; Cn |]
+(* A slot is filled the first time its shape is seen, from the node
+   in hand; equal codes give equal fills, so the store is the same
+   benign race as [boolean_memo]: concurrent labelers at worst compute
+   one slot twice. *)
+let candidates db ~fanin0 ~fanin1 node =
+  if fanin0 node < 0 then [||]
+  else
+    let code = shape_code ~fanin0 ~fanin1 shape_levels node in
+    match db.shapes.(code) with
+    | Some ps -> ps
+    | None ->
+      let r = if fanin1 node < 0 then db.inv_rooted else db.nand_rooted in
+      let ok = Array.map (fun dm -> fits ~fanin0 ~fanin1 dm node) r.demands in
+      let ps =
+        Array.of_list
+          (List.filteri
+             (fun i _ -> ok.(r.demand_ix.(i)))
+             (Array.to_list r.patterns))
+      in
+      db.shapes.(code) <- Some ps;
+      ps
+
+let for_each_candidate db ~fanin0 ~fanin1 ~level node try_pattern =
+  let tried = ref 0 in
+  Array.iter
+    (fun p ->
+      if p.Pattern.depth <= level then begin
+        incr tried;
+        try_pattern p
+      end)
+    (candidates db ~fanin0 ~fanin1 node);
+  !tried
+
+let subject_fanin0 g node =
+  match Subject.kind g node with
+  | Subject.Spi -> -1
+  | Subject.Sinv x | Subject.Snand (x, _) -> x
+
+let subject_fanin1 g node =
+  match Subject.kind g node with
+  | Subject.Snand (_, y) -> y
+  | Subject.Spi | Subject.Sinv _ -> -1
 
 let enumerate db cls g ~fanouts ~levels node f =
-  let try_pattern p =
-    if p.Pattern.depth <= levels.(node) then
-      Matcher.for_each_match cls g ~fanouts p node f
-  in
-  match Subject.kind g node with
-  | Spi -> ()
-  | Sinv x ->
-    let kx = Subject.kind g x in
-    Array.iteri
-      (fun i cat ->
-        if cat_matches cat kx then List.iter try_pattern db.inv_buckets.(i))
-      cats
-  | Snand (x, y) ->
-    let kx = Subject.kind g x and ky = Subject.kind g y in
-    for lo = 0 to 2 do
-      for hi = lo to 2 do
-        let a = cats.(lo) and b = cats.(hi) in
-        let compatible =
-          (cat_matches a kx && cat_matches b ky)
-          || (cat_matches a ky && cat_matches b kx)
-        in
-        if compatible then List.iter try_pattern db.nand_buckets.(lo).(hi)
-      done
-    done
+  for_each_candidate db ~fanin0:(subject_fanin0 g) ~fanin1:(subject_fanin1 g)
+    ~level:levels.(node) node (fun p ->
+      Matcher.for_each_match cls g ~fanouts p node f)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical-signature match cache                                     *)
@@ -330,20 +445,25 @@ let for_each_node_match ?cache db cls g ~fanouts ~levels node f =
       match Hashtbl.find_opt c.table key with
       | Some entries ->
         count_hit c;
-        List.iter (fun e -> f (translate c e)) entries
+        List.iter (fun e -> f (translate c e)) entries;
+        0
       | None ->
         count_miss c;
         maybe_retire c;
         let acc = ref [] in
-        enumerate db cls g ~fanouts ~levels node (fun m ->
-            acc := intern c m :: !acc;
-            f m);
-        if not c.disabled then Hashtbl.replace c.table key (List.rev !acc)
+        let tried =
+          enumerate db cls g ~fanouts ~levels node (fun m ->
+              acc := intern c m :: !acc;
+              f m)
+        in
+        if not c.disabled then Hashtbl.replace c.table key (List.rev !acc);
+        tried
     end
   end
 
 let node_matches ?cache db cls g ~fanouts ~levels node =
   let acc = ref [] in
-  for_each_node_match ?cache db cls g ~fanouts ~levels node (fun m ->
-      acc := m :: !acc);
+  ignore
+    (for_each_node_match ?cache db cls g ~fanouts ~levels node (fun m ->
+         acc := m :: !acc));
   List.rev !acc

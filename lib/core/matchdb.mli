@@ -1,12 +1,17 @@
 (** A gate library prepared for fast match enumeration.
 
-    Patterns are bucketed by the structural signature of their top
-    two levels (root kind and child categories) and filtered by
-    depth, so that at each subject node only plausibly-matching
-    patterns are attempted. This keeps the labeling pass close to the
-    O(s p) bound of the paper with a small effective [p].
+    Each subject node is keyed by its {e shape}: the unordered
+    NAND/INV/PI tree its fanin cone unfolds to over four levels (2,278
+    possible codes). A shape's slot holds the patterns whose own
+    four-level tree unfolding fits it in some NAND child order — a
+    necessary condition for a match of any class — and the matcher
+    runs only on those, after a depth filter. Slots are filled on
+    first use, so preparing a library costs nothing per shape, and the
+    filter keeps the library's fixed enumeration order, so it never
+    changes which match wins a tie. This keeps the labeling pass close
+    to the O(s p) bound of the paper with a small effective [p].
 
-    On top of the buckets sits an optional {e match cache}: every
+    On top of the index sits an optional {e match cache}: every
     binding the matcher makes lands within [max pattern depth] edges
     of the root, so a node's match set is determined by its
     depth-bounded cone up to isomorphism. The cache keys each node by
@@ -39,15 +44,23 @@ val max_depth : t -> int
 (** Deepest pattern in the library, in edges; bounds every match
     cone. *)
 
-val inv_bucket : t -> int -> Pattern.t list
-(** INV-rooted patterns whose child category index is the argument
-    (0 = leaf, 1 = inv, 2 = nand), in enumeration order. Exposed for
-    the arena-native enumerator in {!Arena_map}, which must replay
-    the exact bucket iteration order of {!for_each_node_match}. *)
-
-val nand_bucket : t -> int -> int -> Pattern.t list
-(** NAND-rooted patterns bucketed by the unordered pair of child
-    category indices, [lo <= hi]. *)
+val for_each_candidate :
+  t ->
+  fanin0:(int -> int) ->
+  fanin1:(int -> int) ->
+  level:int ->
+  int ->
+  (Pattern.t -> unit) ->
+  int
+(** [for_each_candidate db ~fanin0 ~fanin1 ~level node try_pattern]
+    calls [try_pattern] on every pattern that can match at [node] —
+    those the shape index keeps, no deeper than [level] (the node's
+    [Subject.levels] entry) — in enumeration order, and returns how
+    many it called it on. The accessors describe the subject graph as
+    {!Arena} does: [fanin0] is [-1] on a PI, [fanin1] is [-1] on a PI
+    or an INV. No pattern roots at a PI. This is the one enumeration
+    order shared by the boxed and arena matchers. Safe to call from
+    several domains at once. *)
 
 type cache
 (** A match cache. Lookups are not thread-safe — the signature
@@ -95,11 +108,12 @@ val for_each_node_match :
   levels:int array ->
   int ->
   (Matcher.mtch -> unit) ->
-  unit
+  int
 (** Enumerate every match of every library pattern rooted at the
-    given subject node. [levels] must be [Subject.levels g]. The
-    callback must not re-enter the same [cache] (the mapper's
-    callbacks never do). *)
+    given subject node, and return the number of patterns handed to
+    the matcher (0 on a cache hit, which replays instead). [levels]
+    must be [Subject.levels g]. The callback must not re-enter the
+    same [cache] (the mapper's callbacks never do). *)
 
 val node_matches :
   ?cache:cache ->

@@ -47,6 +47,18 @@ val for_each_match :
     [Subject.fanout_counts g] (used by the exact-match out-degree
     test). *)
 
+val bound : int array -> int -> bool
+(** [bound binding sid]: some pattern node is bound to subject node
+    [sid] ([binding] maps pattern node to subject node, [-1] when
+    unbound). The injectivity test of standard and exact matches;
+    shared with the arena matcher in {!Arena_map}. *)
+
+val emitter : Pattern.t -> int array -> (mtch -> unit) -> unit -> unit
+(** [emitter p binding f] is one try's report step: each call reads
+    the complete [binding] of [p] and passes the match to [f], unless
+    this try already reported the same pin binding. Shared with the
+    arena matcher in {!Arena_map}. *)
+
 val matches :
   match_class -> Subject.t -> fanouts:int array -> Pattern.t -> int -> mtch list
 

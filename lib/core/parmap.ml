@@ -272,6 +272,7 @@ let label ?jobs ?(cache = true) ?(pi_arrival = fun _ -> 0.0) mode db g =
      nodes of a per-node count) even though the split is not. *)
   let tried = Array.make jobs 0 in
   let super_tried = Array.make jobs 0 in
+  let patterns_tried = Array.make jobs 0 in
   let level_seconds = Array.make (Array.length by_level) 0.0 in
   (* Queue/steal statistics: levels wide enough to fan out, and the
      number of work chunks handed through the atomic cursor (a proxy
@@ -284,12 +285,13 @@ let label ?jobs ?(cache = true) ?(pi_arrival = fun _ -> 0.0) mode db g =
     match Subject.kind g node with
     | Spi -> labels.(node) <- pi_arrival node
     | Snand _ | Sinv _ ->
-      let t, st =
+      let t, st, pt =
         Mapper.label_node ?cache:caches.(worker) cls db g ~fanouts ~levels
           ~labels ~best node
       in
       tried.(worker) <- tried.(worker) + t;
-      super_tried.(worker) <- super_tried.(worker) + st
+      super_tried.(worker) <- super_tried.(worker) + st;
+      patterns_tried.(worker) <- patterns_tried.(worker) + pt
   in
   let pool = if jobs > 1 then Some (make_pool (jobs - 1)) else None in
   Fun.protect
@@ -335,6 +337,7 @@ let label ?jobs ?(cache = true) ?(pi_arrival = fun _ -> 0.0) mode db g =
         by_level);
   let tried = Array.fold_left ( + ) 0 tried in
   let super_tried = Array.fold_left ( + ) 0 super_tried in
+  let patterns_tried = Array.fold_left ( + ) 0 patterns_tried in
   let hits, misses, lookups =
     Array.fold_left
       (fun (h, m, l) c ->
@@ -359,11 +362,13 @@ let label ?jobs ?(cache = true) ?(pi_arrival = fun _ -> 0.0) mode db g =
       parallel_levels = !parallel_levels;
       chunks = Atomic.get chunks_claimed }
   in
-  (labels, best, (tried, super_tried, hits, misses, lookups), stats)
+  (labels, best, (tried, super_tried, patterns_tried, hits, misses, lookups),
+   stats)
 
 let map ?jobs ?cache mode db g =
   let t0 = Clock.now () in
-  let labels, best, (tried, super_tried, hits, misses, lookups), par =
+  let labels, best, (tried, super_tried, patterns_tried, hits, misses, lookups),
+      par =
     Span.with_span ~cat:"parmap" "label" (fun () -> label ?jobs ?cache mode db g)
   in
   let t1 = Clock.now () in
@@ -379,6 +384,7 @@ let map ?jobs ?cache mode db g =
           cover_seconds = t2 -. t1;
           matches_tried = tried;
           super_matches_tried = super_tried;
+          patterns_tried;
           cache_hits = hits;
           cache_misses = misses;
           cache_lookups = lookups;
@@ -422,6 +428,7 @@ let label_arena ?jobs ?(cache = true) ?(pi_arrival = fun _ -> 0.0) mode db a =
   in
   let tried = Array.make jobs 0 in
   let super_tried = Array.make jobs 0 in
+  let patterns_tried = Array.make jobs 0 in
   let level_seconds = Array.make num_levels 0.0 in
   let parallel_levels = ref 0 in
   let chunks_claimed = Atomic.make 0 in
@@ -431,12 +438,13 @@ let label_arena ?jobs ?(cache = true) ?(pi_arrival = fun _ -> 0.0) mode db a =
     if Bigarray.Array1.unsafe_get fanin0 node < 0 then
       Bigarray.Array1.unsafe_set labels node (pi_arrival node)
     else begin
-      let t, st =
+      let t, st, pt =
         Arena_map.label_node ?cache:caches.(worker) cls db a ~fanouts ~levels
           ~labels ~best node
       in
       tried.(worker) <- tried.(worker) + t;
-      super_tried.(worker) <- super_tried.(worker) + st
+      super_tried.(worker) <- super_tried.(worker) + st;
+      patterns_tried.(worker) <- patterns_tried.(worker) + pt
     end
   in
   let pool = if jobs > 1 then Some (make_pool (jobs - 1)) else None in
@@ -482,6 +490,7 @@ let label_arena ?jobs ?(cache = true) ?(pi_arrival = fun _ -> 0.0) mode db a =
       done);
   let tried = Array.fold_left ( + ) 0 tried in
   let super_tried = Array.fold_left ( + ) 0 super_tried in
+  let patterns_tried = Array.fold_left ( + ) 0 patterns_tried in
   let hits, misses, lookups =
     Array.fold_left
       (fun (h, m, l) c ->
@@ -507,14 +516,16 @@ let label_arena ?jobs ?(cache = true) ?(pi_arrival = fun _ -> 0.0) mode db a =
       parallel_levels = !parallel_levels;
       chunks = Atomic.get chunks_claimed }
   in
-  (labels, best, (tried, super_tried, hits, misses, lookups), stats)
+  (labels, best, (tried, super_tried, patterns_tried, hits, misses, lookups),
+   stats)
 
 let map_arena ?jobs ?cache ?subject mode db a =
   let subject =
     match subject with Some s -> s | None -> Arena.to_subject a
   in
   let t0 = Clock.now () in
-  let labels, best, (tried, super_tried, hits, misses, lookups), par =
+  let labels, best, (tried, super_tried, patterns_tried, hits, misses, lookups),
+      par =
     Span.with_span ~cat:"parmap" "label" (fun () ->
         label_arena ?jobs ?cache mode db a)
   in
@@ -535,6 +546,7 @@ let map_arena ?jobs ?cache ?subject mode db a =
           cover_seconds = t2 -. t1;
           matches_tried = tried;
           super_matches_tried = super_tried;
+          patterns_tried;
           cache_hits = hits;
           cache_misses = misses;
           cache_lookups = lookups;

@@ -141,12 +141,12 @@ val label :
   Subject.t ->
   float array
   * Matcher.mtch option array
-  * (int * int * int * int * int)
+  * (int * int * int * int * int * int)
   * par_stats
 (** Parallel labeling pass. [jobs] defaults to {!recommended_jobs};
     [cache] (default true) enables per-worker match caches. The int
-    quintuple is (matches tried, supergate matches tried, cache
-    hits, cache misses, cache lookups). Raises {!Mapper.Unmappable}
+    tuple is (matches tried, supergate matches tried, patterns tried,
+    cache hits, cache misses, cache lookups). Raises {!Mapper.Unmappable}
     exactly when the sequential pass would. *)
 
 val map :
@@ -182,7 +182,7 @@ val label_arena :
   Arena.t ->
   Arena_map.labels
   * Matcher.mtch option array
-  * (int * int * int * int * int)
+  * (int * int * int * int * int * int)
   * par_stats
 (** Parallel arena labeling pass; mirrors {!label} ([cache] enables
     one private {!Arena_map.cache} per worker). Bit-identical to the

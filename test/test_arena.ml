@@ -68,7 +68,7 @@ let same_best (b1 : Matcher.mtch option array) (b2 : Matcher.mtch option array) 
          | None, None -> true
          | Some m1, Some m2 ->
            (* Physically the same pattern: both paths enumerate out of
-              the same Matchdb buckets. *)
+              the same Matchdb shape index. *)
            m1.Matcher.pattern == m2.Matcher.pattern
            && m1.Matcher.pins = m2.Matcher.pins
            && m1.Matcher.covered = m2.Matcher.covered

@@ -275,13 +275,116 @@ let test_extended_equals_dag_footnote3 () =
       ("mult4", Generators.array_multiplier 4);
       ("parity16", Generators.parity 16) ]
 
+(* ------------------------------------------------------------------ *)
+(* Shape-index soundness                                               *)
+(* ------------------------------------------------------------------ *)
+
+module Pattern_ids = Hashtbl.Make (struct
+  type t = Pattern.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* A match as comparable ints: (pattern's library position, pins,
+   covered), so multisets compare by sorting. *)
+let match_keys ids ms =
+  List.sort compare
+    (List.map
+       (fun (m : Matcher.mtch) ->
+         (Pattern_ids.find ids m.Matcher.pattern, m.Matcher.pins,
+          m.Matcher.covered))
+       ms)
+
+(* The index may only drop patterns that cannot match: at every node,
+   the indexed enumeration (boxed and arena, uncached) must return the
+   same multiset of matches as running the matcher on every library
+   pattern that can root a cover. *)
+let test_index_sound () =
+  let supergates () =
+    let base = Libraries.lib44_1_like () in
+    let bounds =
+      { Dagmap_super.Superenum.default_bounds with max_pins = 4; max_size = 3 }
+    in
+    let sgl, _ = Dagmap_super.Superlib.make ~bounds base in
+    Dagmap_super.Superlib.augment base sgl
+  in
+  let random seed nodes =
+    ( Printf.sprintf "random%d" seed,
+      Generators.random_dag ~seed ~inputs:10 ~outputs:8 ~nodes () )
+  in
+  let cases =
+    [ (Libraries.lib2_like (),
+       [ random 1 150; random 2 200; ("c432", Iscas_like.c432_like ());
+         ("c880", Iscas_like.c880_like ()) ]);
+      (Libraries.lib44_1_like (),
+       [ random 3 150; ("c432", Iscas_like.c432_like ());
+         ("c6288", Iscas_like.c6288_like ()) ]);
+      (Option.get (Libraries.by_name "44-3"),
+       [ random 4 120; ("c432", Iscas_like.c432_like ()) ]);
+      (supergates (), [ random 5 150; ("c432", Iscas_like.c432_like ()) ]) ]
+  in
+  List.iter
+    (fun (lib, circuits) ->
+      let db = Matchdb.prepare lib in
+      let ids = Pattern_ids.create 1024 in
+      List.iteri (fun i p -> Pattern_ids.replace ids p i) lib.Libraries.patterns;
+      let rooting =
+        List.filter
+          (fun p ->
+            match p.Pattern.nodes.(p.Pattern.root) with
+            | Pattern.Pleaf _ -> false
+            | Pattern.Pinv _ | Pattern.Pnand _ -> true)
+          lib.Libraries.patterns
+      in
+      List.iter
+        (fun (cname, net) ->
+          let g = Subject.of_network net in
+          let a = Arena.of_subject g in
+          let fanouts = Subject.fanout_counts g in
+          let levels = Subject.levels g in
+          let afanouts = Arena.fanout_counts a in
+          let alevels = Arena.levels a in
+          List.iter
+            (fun cls ->
+              for node = 0 to Subject.num_nodes g - 1 do
+                let brute =
+                  List.concat_map
+                    (fun p -> Matcher.matches cls g ~fanouts p node)
+                    rooting
+                in
+                let boxed =
+                  Matchdb.node_matches db cls g ~fanouts ~levels node
+                in
+                let arena = ref [] in
+                ignore
+                  (Arena_map.for_each_node_match db cls a ~fanouts:afanouts
+                     ~levels:alevels node (fun m -> arena := m :: !arena));
+                let want = match_keys ids brute in
+                let where =
+                  Printf.sprintf "%s/%s/%s node %d" lib.Libraries.lib_name
+                    cname (Matcher.class_name cls) node
+                in
+                if match_keys ids boxed <> want then
+                  Alcotest.failf "%s: boxed index differs from brute force"
+                    where;
+                if match_keys ids !arena <> want then
+                  Alcotest.failf "%s: arena index differs from brute force"
+                    where
+              done)
+            classes)
+        circuits)
+    cases
+
 let () =
   Alcotest.run "matchcache"
     [ ( "transparency",
         [ Alcotest.test_case "cached = uncached lists" `Quick
             test_cache_transparent;
           Alcotest.test_case "mapper agreement" `Quick
-            test_mapper_cache_identical ] );
+            test_mapper_cache_identical;
+          Alcotest.test_case "shape index = brute force" `Quick
+            test_index_sound ] );
       ( "counters",
         [ Alcotest.test_case "hit/miss bookkeeping" `Quick test_counters;
           Alcotest.test_case "per-run reset" `Quick test_reset_counters;

@@ -506,8 +506,18 @@ let test_chaos_mix () =
   (* The daemon is still alive and the watchdog actually worked: the
      delay_job:300ms faults blow the 100ms budget, so at least one
      pool restart (and during its window, degraded service) must have
-     been seen. *)
-  let st = stats_of sock in
+     been seen. The plan is still armed, so the stats request can be
+     dropped or garbled like any other: fetch it through a retrying
+     session too. *)
+  let st =
+    let s = Client.session ~timeout_s:10.0 ~retry ~seed:44 sock in
+    Fun.protect
+      ~finally:(fun () -> Client.end_session s)
+      (fun () ->
+        match Client.call s (Proto.request Proto.Stats) with
+        | Ok st -> st
+        | Error e -> Alcotest.fail ("stats after the storm: " ^ e))
+  in
   check tbool "daemon alive after the storm" true (status st = "ok");
   check tbool ">=1 watchdog restart" true
     (num_field "watchdog_restarts" st >= 1.0);

@@ -436,22 +436,19 @@ let run_retime_section () =
       ("pipelined-parity-64x5", Generators.pipelined_parity 64 5) ]
 
 (* ------------------------------------------------------------------ *)
-(* Multicore labeling + match cache (Parmap / Matchdb.cache)           *)
+(* Multicore labeling (Mapper.map ~jobs over the Parmap pool)          *)
 (* ------------------------------------------------------------------ *)
 
 let run_parallel_section () =
-  hr "Beyond the paper: level-parallel labeling and the structural match cache";
+  hr "Beyond the paper: level-parallel labeling";
   Printf.printf
-    "The labeling DP is independent within a topological level, so Parmap\n\
-     fans each level across OCaml 5 domains; Matchdb additionally caches\n\
-     match sets keyed by a canonical signature of each node's local cone.\n\
-     Labels are bit-identical in every configuration (asserted below).\n\n";
+    "The labeling DP is independent within a topological level, so the\n\
+     labeler fans each wide level across OCaml 5 domains. Labels are\n\
+     bit-identical for every domain count (asserted below).\n\n";
   let circuits =
-    [ (* Repeated adder cells: the cache's best case, under the rich
-         library where match enumeration is most expensive. *)
+    [ (* The rich library, where match enumeration is most expensive. *)
       ("c6288 / 44-3", "44-3", Subject.of_network (Iscas_like.c6288_like ()));
-      (* Shape-diverse random logic at scale: the cache's worst case
-         (it retires itself) and the widest parallel fronts. *)
+      (* Random logic at scale: the widest parallel fronts. *)
       ("rand16k / lib2", "lib2",
        Subject.of_network
          (Generators.random_dag ~seed:4242 ~inputs:64 ~outputs:32 ~nodes:16000
@@ -463,29 +460,18 @@ let run_parallel_section () =
       let lib = Option.get (Libraries.by_name lib_name) in
       let db = Matchdb.prepare lib in
       Printf.printf "%s: %s\n" name (Subject.stats g);
-      let reference, t_nocache =
-        time (fun () -> Mapper.map ~cache:false Mapper.Dag db g)
-      in
-      Printf.printf
-        "  sequential, cache off : %7.3fs  delay=%.2f (baseline)\n%!"
-        t_nocache
+      let reference, t_seq = time (fun () -> Mapper.map Mapper.Dag db g) in
+      Printf.printf "  sequential           : %7.3fs  delay=%.2f (baseline)\n%!"
+        t_seq
         (Netlist.delay reference.Mapper.netlist);
-      let cached, t_cache = time (fun () -> Mapper.map Mapper.Dag db g) in
-      let hit_rate r =
-        100.0
-        *. float_of_int r.Mapper.run.Mapper.cache_hits
-        /. float_of_int (max 1 r.Mapper.run.Mapper.cache_lookups)
-      in
-      Printf.printf
-        "  sequential, cache on  : %7.3fs  %5.2fx  hit-rate %.1f%%  identical=%b\n%!"
-        t_cache (t_nocache /. t_cache) (hit_rate cached)
-        (cached.Mapper.labels = reference.Mapper.labels);
       List.iter
         (fun jobs ->
-          let (r, _par), t = time (fun () -> Parmap.map ~jobs Mapper.Dag db g) in
+          let r, t = time (fun () -> Mapper.map ~jobs Mapper.Dag db g) in
           Printf.printf
-            "  parallel, %2d domains  : %7.3fs  %5.2fx  hit-rate %.1f%%  identical=%b\n%!"
-            jobs t (t_nocache /. t) (hit_rate r)
+            "  parallel, %2d domains  : %7.3fs  %5.2fx  %d/%d levels parallel  \
+             identical=%b\n%!"
+            jobs t (t_seq /. t) r.Mapper.par.Parmap.parallel_levels
+            r.Mapper.par.Parmap.levels
             (r.Mapper.labels = reference.Mapper.labels))
         [ 1; 2; 4; Parmap.recommended_jobs () ])
     circuits
@@ -566,7 +552,6 @@ let run_super_section () =
        "rows":    [ { "circuit", "library", "mode",   -- tree|dag|super
                       "delay", "area", "gates", "duplicated",
                       "wall_seconds", "cpu_seconds" } ],
-       "cache":   { "hits", "misses", "lookups" },    -- global registry
        "parallel": { "jobs", "chunks", "parallel_levels",
                      "wall_seconds", "sequential_wall_seconds",
                      "speedup", "identical" },
@@ -686,9 +671,10 @@ let run_json quick out_file =
   let pname, pg = List.nth subjects (List.length subjects - 1) in
   let db = Matchdb.prepare base in
   let rseq, seq_wall = Clock.time (fun () -> Mapper.map Mapper.Dag db pg) in
-  let (rpar, par), par_wall =
-    Clock.time (fun () -> Parmap.map ~jobs:4 Mapper.Dag db pg)
+  let rpar, par_wall =
+    Clock.time (fun () -> Mapper.map ~jobs:4 Mapper.Dag db pg)
   in
+  let par = rpar.Mapper.par in
   let parallel =
     Json.Obj
       [ ("circuit", Json.String pname);
@@ -751,20 +737,12 @@ let run_json quick out_file =
             ("arena_parallel_identical", Json.Bool identical) ])
       subjects
   in
-  let cval n = Option.value ~default:0 (Metrics.counter_value n) in
-  let cache =
-    Json.Obj
-      [ ("hits", Json.Int (cval "matchdb.cache.hits"));
-        ("misses", Json.Int (cval "matchdb.cache.misses"));
-        ("lookups", Json.Int (cval "matchdb.cache.lookups")) ]
-  in
   let doc =
     Json.Obj
       [ ("schema", Json.String bench_schema);
         ("generated", Json.String (Clock.stamp ()));
         ("quick", Json.Bool quick);
         ("rows", Json.List (List.rev !rows));
-        ("cache", cache);
         ("parallel", parallel);
         ("cuts", Json.List cuts_rows);
         ("metrics", Metrics.to_json ()) ]
@@ -827,7 +805,8 @@ let run_json_huge nodes jobs out_file =
   let g = Arena.to_subject arena in
   let db = Matchdb.prepare (Option.get (Libraries.by_name "44-1")) in
   let r, map_wall, map_cpu =
-    Clock.time_wall_cpu (fun () -> Arena_map.map ~subject:g Mapper.Dag db arena)
+    Clock.time_wall_cpu (fun () ->
+        Mapper.map_arena ~subject:g Mapper.Dag db arena)
   in
   let clean =
     Check.structural r.Mapper.netlist = []
@@ -847,10 +826,11 @@ let run_json_huge nodes jobs out_file =
      a hard gate (bit-equal labels, same cover); the wall/speedup
      numbers are report-only — they measure the machine's core count
      as much as the code. *)
-  let (rpar, par_stats), par_wall, par_cpu =
+  let rpar, par_wall, par_cpu =
     Clock.time_wall_cpu (fun () ->
-        Parmap.map_arena ~jobs ~subject:g Mapper.Dag db arena)
+        Mapper.map_arena ~jobs ~subject:g Mapper.Dag db arena)
   in
+  let par_stats = rpar.Mapper.par in
   let par_identical =
     rpar.Mapper.labels = r.Mapper.labels
     && Netlist.delay rpar.Mapper.netlist = Netlist.delay r.Mapper.netlist

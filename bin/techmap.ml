@@ -102,8 +102,7 @@ let mode_of_string = function
 (* map                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let print_mapper_stats ~cache_enabled (run : Mapper.stats)
-    (par : Parmap.par_stats option) =
+let print_mapper_stats (run : Mapper.stats) (par : Parmap.par_stats option) =
   Printf.printf
     "stats: label %.3fs, cover %.3fs, %d matches tried, %d patterns tried\n"
     run.Mapper.label_seconds run.Mapper.cover_seconds run.Mapper.matches_tried
@@ -112,18 +111,6 @@ let print_mapper_stats ~cache_enabled (run : Mapper.stats)
     Printf.printf
       "stats: supergates: %d matches tried, %d instances in cover\n"
       run.Mapper.super_matches_tried run.Mapper.super_gates_used;
-  (* With --no-cache there are no counters to report; print nothing
-     rather than a row of zeros. *)
-  if cache_enabled then begin
-    if run.Mapper.cache_lookups > 0 then
-      Printf.printf
-        "stats: match cache %d lookups, %d hits, %d misses (%.1f%% hit rate)\n"
-        run.Mapper.cache_lookups run.Mapper.cache_hits run.Mapper.cache_misses
-        (100.0
-        *. float_of_int run.Mapper.cache_hits
-        /. float_of_int run.Mapper.cache_lookups)
-    else Printf.printf "stats: match cache idle (no lookups recorded)\n"
-  end;
   match par with
   | None -> ()
   | Some p ->
@@ -148,7 +135,7 @@ let print_mapper_stats ~cache_enabled (run : Mapper.stats)
    node is the classic sweet spot (the bench sweeps the trade-off). *)
 let default_cut_priority = 8
 
-let run_map circuit lib_spec super_file mode_s opt recover buffer out_file verilog_file show_path verify jobs priority show_stats no_cache trace_out metrics_json arena stream =
+let run_map circuit lib_spec super_file mode_s opt recover buffer out_file verilog_file show_path verify jobs priority show_stats trace_out metrics_json arena stream =
   if trace_out <> None then begin
     Span.reset ();
     Span.set_enabled true
@@ -215,27 +202,17 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
     (List.length lib.Libraries.gates)
     (List.length lib.Libraries.patterns);
   let jobs = resolve_jobs jobs in
-  let cache = not no_cache in
   let t0 = Clock.now () in
   let mode_name, nl, pattern_result, par_stats =
     match mode with
-    | Pattern_mode m when arena ->
-      let a = Arena.of_subject sg in
-      Printf.printf "%s\n" (Arena.stats a);
-      if jobs > 1 then
-        let result, par = Parmap.map_arena ~jobs ~cache ~subject:sg m db a in
-        (Mapper.mode_name m, result.Mapper.netlist, Some (m, result), Some par)
-      else
-        let result = Arena_map.map ~cache ~subject:sg m db a in
-        (Mapper.mode_name m, result.Mapper.netlist, Some (m, result), None)
     | Pattern_mode m ->
-      let result, par =
-        if jobs > 1 then
-          let result, par = Parmap.map ~jobs ~cache m db sg in
-          (result, Some par)
-        else (Mapper.map ~cache m db sg, None)
-      in
-      (Mapper.mode_name m, result.Mapper.netlist, Some (m, result), par)
+      let a = Arena.of_subject sg in
+      if arena then Printf.printf "%s\n" (Arena.stats a);
+      let result = Mapper.map_arena ~jobs ~subject:sg m db a in
+      ( Mapper.mode_name m,
+        result.Mapper.netlist,
+        Some (m, result),
+        if jobs > 1 then Some result.Mapper.par else None )
     | Cut_mode ->
       if jobs > 1 && not arena then
         failwith
@@ -277,7 +254,6 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
            ("library", Json.String lib.Libraries.lib_name);
            ("mode", Json.String mode_name);
            ("jobs", Json.Int jobs);
-           ("cache", Json.Bool cache);
            ("metrics", Metrics.to_json ()) ]
      in
      let oc = open_out path in
@@ -292,7 +268,7 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
   if show_stats then begin
     match pattern_result with
     | Some (_, result) ->
-      print_mapper_stats ~cache_enabled:cache result.Mapper.run par_stats
+      print_mapper_stats result.Mapper.run par_stats
     | None -> begin
       match par_stats with
       | Some p ->
@@ -364,7 +340,7 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
 
 open Dagmap_check
 
-let run_check circuit lib_spec super_file mode_s jobs no_cache =
+let run_check circuit lib_spec super_file mode_s jobs =
   let net = load_circuit circuit in
   let lib = load_library lib_spec in
   let lib =
@@ -375,16 +351,12 @@ let run_check circuit lib_spec super_file mode_s jobs no_cache =
   let db = Matchdb.prepare lib in
   let mode = mode_of_string mode_s in
   let jobs = resolve_jobs jobs in
-  let cache = not no_cache in
   let sg = Subject.of_network net in
   Printf.printf "circuit %s: %s\n" circuit (Subject.stats sg);
   let mode_name, nl, predicted =
     match mode with
     | Pattern_mode m ->
-      let result =
-        if jobs > 1 then fst (Parmap.map ~jobs ~cache m db sg)
-        else Mapper.map ~cache m db sg
-      in
+      let result = Mapper.map ~jobs m db sg in
       ( Mapper.mode_name m,
         result.Mapper.netlist,
         Mapper.predicted_arrivals result )
@@ -735,8 +707,8 @@ let run_serve socket libs supers jobs queue metrics_json quiet io_timeout
   Printf.printf "techmapd: drained after %d requests\n"
     (Server.requests_served srv)
 
-let run_client socket verb_s id circuit blif_file lib mode no_cache audit
-    reply_blif metrics timeout retries =
+let run_client socket verb_s id circuit blif_file lib mode audit reply_blif
+    metrics timeout retries =
   let verb =
     match Proto.verb_of_string verb_s with
     | Some v -> v
@@ -770,7 +742,6 @@ let run_client socket verb_s id circuit blif_file lib mode no_cache audit
       circuit;
       lib;
       mode;
-      cache = not no_cache;
       audit;
       want_blif = reply_blif;
       metrics;
@@ -903,12 +874,7 @@ let map_cmd =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:"Print labeling statistics (timings, cache hit rate, domains).")
-  in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Disable the structural match cache.")
+          ~doc:"Print labeling statistics (timings, matcher work, domains).")
   in
   let super_file =
     Arg.(
@@ -938,7 +904,7 @@ let map_cmd =
       & info [ "metrics-json" ] ~docv:"FILE"
           ~doc:
             "Write the observability counter/gauge/histogram registry \
-             (cache hit rates, phase timings, work-steal chunks) as JSON \
+             (phase timings, matcher work, work-steal chunks) as JSON \
              after mapping. The registry is reset first, so the file \
              covers exactly this run.")
   in
@@ -947,11 +913,10 @@ let map_cmd =
       value & flag
       & info [ "arena" ]
           ~doc:
-            "Label and cover on the flat struct-of-arrays arena core \
-             instead of the boxed subject graph. Bit-identical results; \
-             with $(b,--jobs) N the labeling sweep fans dense \
-             level slices across N domains (the million-node hot \
-             path).")
+            "Print the flat arena's statistics; with $(b,--mode cut), run \
+             the arena cut enumerator (which $(b,--jobs) N needs) instead \
+             of the boxed cut mapper. Pattern modes always label on the \
+             arena.")
   in
   let stream =
     Arg.(
@@ -965,13 +930,12 @@ let map_cmd =
   let term =
     Term.(
       ret
-        (const (fun c l sf m op r b o vf p v j pr st nc tr mj ar sr ->
+        (const (fun c l sf m op r b o vf p v j pr st tr mj ar sr ->
              wrap (fun () ->
-                 run_map c l sf m op r b o vf p v j pr st nc tr mj ar sr))
+                 run_map c l sf m op r b o vf p v j pr st tr mj ar sr))
         $ circuit_arg $ lib_arg $ super_file $ mode_arg $ opt $ recover
         $ buffer $ out_file $ verilog_file $ show_path $ verify $ jobs
-        $ priority $ show_stats $ no_cache $ trace_out $ metrics_json $ arena
-        $ stream))
+        $ priority $ show_stats $ trace_out $ metrics_json $ arena $ stream))
   in
   Cmd.v (Cmd.info "map" ~doc:"Map a circuit onto a gate library.") term
 
@@ -983,11 +947,6 @@ let check_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Label with N domains in parallel (0 = one per core).")
   in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Disable the structural match cache.")
-  in
   let super_file =
     Arg.(
       value
@@ -998,8 +957,8 @@ let check_cmd =
   let term =
     Term.(
       ret
-        (const (fun c l sf m j nc -> wrap (fun () -> run_check c l sf m j nc))
-        $ circuit_arg $ lib_arg $ super_file $ mode_arg $ jobs $ no_cache))
+        (const (fun c l sf m j -> wrap (fun () -> run_check c l sf m j))
+        $ circuit_arg $ lib_arg $ super_file $ mode_arg $ jobs))
   in
   Cmd.v
     (Cmd.info "check"
@@ -1072,7 +1031,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Differential fuzz of the whole mapper: map seeded random \
-          circuits under every mode x jobs x cache x library \
+          circuits under every mode x jobs x library \
           configuration, run the three audits on each result, and shrink \
           any failure to a minimal BLIF repro. Exits 2 when a failure is \
           found.")
@@ -1351,9 +1310,6 @@ let client_cmd =
       & opt (some string) None
       & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"tree, dag, or dag-extended.")
   in
-  let no_cache =
-    Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the match cache.")
-  in
   let audit =
     Arg.(
       value & flag
@@ -1390,10 +1346,10 @@ let client_cmd =
   let term =
     Term.(
       ret
-        (const (fun s v i c b l m nc a rb mt to_ rt ->
-             wrap (fun () -> run_client s v i c b l m nc a rb mt to_ rt))
+        (const (fun s v i c b l m a rb mt to_ rt ->
+             wrap (fun () -> run_client s v i c b l m a rb mt to_ rt))
         $ socket_arg $ verb_arg $ id $ circuit $ blif_file $ lib $ mode
-        $ no_cache $ audit $ reply_blif $ metrics $ timeout $ retries))
+        $ audit $ reply_blif $ metrics $ timeout $ retries))
   in
   Cmd.v
     (Cmd.info "client"

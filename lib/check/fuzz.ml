@@ -11,7 +11,6 @@ type config = {
   libs : (string * Libraries.t) list;
   modes : Mapper.mode list;
   jobs : int list;
-  caches : bool list;
   rounds : int;
   epsilon : float;
   max_failures : int;
@@ -24,7 +23,6 @@ let default_config lib =
     libs = [ ("base", lib) ];
     modes = [ Mapper.Tree; Mapper.Dag; Mapper.Dag_extended ];
     jobs = [ 1; 4 ];
-    caches = [ true; false ];
     rounds = 6;
     epsilon = 1e-6;
     max_failures = 4 }
@@ -51,13 +49,10 @@ type case = {
   db : Matchdb.t;
   mode : Mapper.mode;
   c_jobs : int;
-  c_cache : bool;
 }
 
 let case_name c =
-  Printf.sprintf "%s/%s/jobs=%d/%s" c.lib_tag (Mapper.mode_name c.mode)
-    c.c_jobs
-    (if c.c_cache then "cache" else "no-cache")
+  Printf.sprintf "%s/%s/jobs=%d" c.lib_tag (Mapper.mode_name c.mode) c.c_jobs
 
 let cases_of cfg =
   List.concat_map
@@ -65,12 +60,7 @@ let cases_of cfg =
       let db = Matchdb.prepare lib in
       List.concat_map
         (fun mode ->
-          List.concat_map
-            (fun c_jobs ->
-              List.map
-                (fun c_cache -> { lib_tag; db; mode; c_jobs; c_cache })
-                cfg.caches)
-            cfg.jobs)
+          List.map (fun c_jobs -> { lib_tag; db; mode; c_jobs }) cfg.jobs)
         cfg.modes)
     cfg.libs
 
@@ -80,11 +70,7 @@ let cases_of cfg =
 let issues_of cfg case net =
   match
     let sg = Subject.of_network net in
-    let result =
-      if case.c_jobs > 1 then
-        fst (Parmap.map ~jobs:case.c_jobs ~cache:case.c_cache case.mode case.db sg)
-      else Mapper.map ~cache:case.c_cache case.mode case.db sg
-    in
+    let result = Mapper.map ~jobs:case.c_jobs case.mode case.db sg in
     Check.audit_result ~epsilon:cfg.epsilon ~rounds:cfg.rounds sg result
   with
   | issues -> issues

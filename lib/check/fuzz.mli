@@ -3,7 +3,7 @@
     Generates seeded random networks
     ({!Dagmap_circuits.Generators.random_dag}), maps each one under a
     full configuration matrix — every mapper mode, sequential and
-    parallel labeling, match cache on and off, each provided library
+    parallel labeling, each provided library
     (typically the base library and its supergate augmentation) — and
     runs the three {!Check} auditors on every result. A failing
     (circuit, configuration) pair is shrunk to a minimal network that
@@ -25,7 +25,6 @@ type config = {
       (** tagged libraries, e.g. [("base", lib); ("super", augmented)] *)
   modes : Mapper.mode list;
   jobs : int list;      (** e.g. [[1; 4]]: sequential and 4 domains *)
-  caches : bool list;   (** match cache settings, e.g. [[true; false]] *)
   rounds : int;         (** simulation rounds per functional audit *)
   epsilon : float;      (** delay-audit tolerance *)
   max_failures : int;   (** stop fuzzing after this many failures *)
@@ -33,11 +32,11 @@ type config = {
 
 val default_config : Libraries.t -> config
 (** 25 circuits from seed 42, up to 60 nodes each, all three modes,
-    jobs 1 and 4, cache on/off, over the single given library. *)
+    jobs 1 and 4, over the single given library. *)
 
 type failure = {
   circuit : int;        (** index of the failing random circuit *)
-  case_name : string;   (** ["lib/mode/jobs=N/cache"] tag *)
+  case_name : string;   (** ["lib/mode/jobs=N"] tag *)
   issues : Check.issue list;  (** audit issues on the shrunk network *)
   network : Network.t;  (** the shrunk failing network *)
   original_nodes : int;

@@ -466,8 +466,8 @@ let nand_chain n =
    from the previous rank with occasional PI and long skip
    connections. Rank-local wiring keeps depth O(ranks) no matter how
    many nodes are requested, so million-node instances stay mappable
-   and parallelizable; the repeated block shapes give the match cache
-   something to hit, like real SoCs do. Exactly [nodes] logic nodes
+   and parallelizable; blocks repeat their local shapes, like real
+   SoCs do. Exactly [nodes] logic nodes
    are created (glue blocks absorb each rank's remainder), and
    everything is driven by Random.State, so a seed fully determines
    the circuit — the test suite asserts byte-identical BLIF. *)

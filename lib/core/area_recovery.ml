@@ -6,7 +6,7 @@ let epsilon = 1e-9
 (* Area flow (standard mapper heuristic): the estimated area of a
    node's cone when shared fanout amortizes cost,
    af(n) = min over matches (area + sum af(leaf) / fanout(leaf)). *)
-let area_flow db cls g ~fanouts ~levels =
+let area_flow db cls g a ~fanouts ~levels =
   let n = Subject.num_nodes g in
   let af = Array.make n 0.0 in
   for node = 0 to n - 1 do
@@ -15,7 +15,7 @@ let area_flow db cls g ~fanouts ~levels =
     | Snand _ | Sinv _ ->
       let best = ref infinity in
       ignore
-        (Matchdb.for_each_node_match db cls g ~fanouts ~levels node (fun m ->
+        (Mapper.for_each_node_match db cls a ~fanouts ~levels node (fun m ->
              let gate = Matcher.gate m in
              let cost = ref gate.Gate.area in
              Array.iter
@@ -35,9 +35,10 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
   let cls = Mapper.mode_class mode in
   let labels = result.Mapper.labels in
   let n = Subject.num_nodes g in
-  let fanouts = Subject.fanout_counts g in
-  let levels = Subject.levels g in
-  let af = area_flow db cls g ~fanouts ~levels in
+  let a = Arena.of_subject g in
+  let fanouts = Arena.fanout_counts a in
+  let levels = Arena.levels a in
+  let af = area_flow db cls g a ~fanouts ~levels in
   let budget = Array.make n infinity in
   let needed = Array.make n false in
   let worst =
@@ -64,7 +65,7 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
       let best = ref None in
       let best_cost = ref (infinity, infinity) in
       ignore
-        (Matchdb.for_each_node_match db cls g ~fanouts ~levels node (fun m ->
+        (Mapper.for_each_node_match db cls a ~fanouts ~levels node (fun m ->
              let gate = Matcher.gate m in
              let arrival = ref 0.0 in
              Array.iteri

@@ -23,7 +23,6 @@ type stats = {
   super_matches_tried : int;
   patterns_tried : int;
   cache_hits : int;
-  cache_misses : int;
   cache_lookups : int;
   super_gates_used : int;
 }
@@ -33,6 +32,7 @@ type result = {
   labels : float array;
   best : Matcher.mtch option array;
   run : stats;
+  par : Parmap.par_stats;
 }
 
 (* Fault-injection hook for the check layer: added to every pin delay
@@ -40,23 +40,93 @@ type result = {
    STA and the delay audit must fire. 0.0 outside those tests. *)
 let test_pin_delay_skew = ref 0.0
 
+(* Typed reads: an unannotated [Bigarray.Array1.unsafe_get] stays
+   polymorphic and compiles to a bounds-checked C call per read. *)
+let fanin (v : Arena.iarr) i = Bigarray.Array1.unsafe_get v i
+
+(* ------------------------------------------------------------------ *)
+(* Structural matcher on the arena                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The arena form of [Matcher.for_each_match], which stays as the
+   boxed reference the tests compare against: the same backtracking
+   order, the same injectivity and exact-class fanout tests, the same
+   per-try pin dedup ([Matcher.emitter]). *)
+let for_each_match cls a ~fanouts p root f =
+  let nodes = p.Pattern.nodes in
+  let binding = Array.make (Array.length nodes) (-1) in
+  let injective =
+    match cls with
+    | Matcher.Standard | Matcher.Exact -> true
+    | Matcher.Extended -> false
+  in
+  let f0 = a.Arena.fanin0 and f1 = a.Arena.fanin1 in
+  let rec go pid sid k =
+    let b = binding.(pid) in
+    if b >= 0 then begin
+      if b = sid then k ()
+    end
+    else if injective && Matcher.bound binding sid then ()
+    else begin
+      let fanout_ok =
+        match cls, nodes.(pid) with
+        | Matcher.Exact, (Pattern.Pinv _ | Pattern.Pnand _) ->
+          pid = p.Pattern.root || fanouts.(sid) = p.Pattern.fanout.(pid)
+        | (Matcher.Exact | Matcher.Standard | Matcher.Extended), _ -> true
+      in
+      if fanout_ok then
+        match nodes.(pid) with
+        | Pattern.Pleaf _ ->
+          binding.(pid) <- sid;
+          k ();
+          binding.(pid) <- -1
+        | Pattern.Pinv c ->
+          let x = fanin f0 sid in
+          if x >= 0 && fanin f1 sid < 0 then begin
+            binding.(pid) <- sid;
+            go c x k;
+            binding.(pid) <- -1
+          end
+        | Pattern.Pnand (pa, pb) ->
+          let x = fanin f0 sid in
+          if x >= 0 then begin
+            let y = fanin f1 sid in
+            if y >= 0 then begin
+              binding.(pid) <- sid;
+              go pa x (fun () -> go pb y k);
+              if x <> y then go pa y (fun () -> go pb x k);
+              binding.(pid) <- -1
+            end
+          end
+    end
+  in
+  go p.Pattern.root root (Matcher.emitter p binding f)
+
+let for_each_node_match db cls a ~fanouts ~levels node f =
+  Matchdb.for_each_candidate db a ~level:levels.(node) node (fun p ->
+      for_each_match cls a ~fanouts p node f)
+
+(* ------------------------------------------------------------------ *)
+(* Labeling DP                                                         *)
+(* ------------------------------------------------------------------ *)
+
 (* Arrival time a match would realize given the labels of its pin
    nodes: max over used pins of label + intrinsic pin delay. A match
    using no pins at all (a constant gate) is available at time 0.
    Starting from neg_infinity rather than 0 keeps negative labels
    meaningful — with latch-injected [pi_arrival] values a pin arriving
    before 0 must not be clamped. *)
-let match_arrival labels (m : Matcher.mtch) =
+let match_arrival (labels : float array) (m : Matcher.mtch) =
   let g = Matcher.gate m in
+  let pins = m.Matcher.pins in
   let worst = ref neg_infinity in
-  Array.iteri
-    (fun pin node ->
-      if node >= 0 then
-        worst :=
-          Float.max !worst
-            (labels.(node) +. Gate.intrinsic_delay g pin
-            +. !test_pin_delay_skew))
-    m.Matcher.pins;
+  for pin = 0 to Array.length pins - 1 do
+    let node = pins.(pin) in
+    if node >= 0 then
+      worst :=
+        Float.max !worst
+          (labels.(node) +. Gate.intrinsic_delay g pin +. !test_pin_delay_skew)
+  done;
   if !worst = neg_infinity then 0.0 else !worst
 
 (* Strictly-better comparison: smaller arrival, then smaller area,
@@ -70,16 +140,15 @@ let better arrival area pins (best_arrival, best_area, best_pins) =
 (* The DP kernel: compute one gate node's optimal label and best
    match. Reads only labels of fanin-cone nodes (strictly smaller
    levels), writes only [labels.(node)] and [best.(node)] — which is
-   what lets Parmap run a whole topological level of these calls
-   concurrently. Returns the numbers of matches considered and of
-   patterns tried. *)
-let label_node ?cache cls db g ~fanouts ~levels ~labels ~best node =
+   what lets a whole topological level of these calls run
+   concurrently. Returns the numbers of matches considered, of
+   supergate matches among them, and of patterns tried. *)
+let label_node cls db a ~fanouts ~levels ~labels ~best node =
   let tried = ref 0 in
   let super_tried = ref 0 in
   let best_cost = ref (infinity, infinity, max_int) in
   let patterns =
-    Matchdb.for_each_node_match ?cache db cls g ~fanouts ~levels node
-      (fun m ->
+    for_each_node_match db cls a ~fanouts ~levels node (fun m ->
         incr tried;
         let gate = Matcher.gate m in
         if Gate.is_super gate then incr super_tried;
@@ -104,28 +173,102 @@ let label_node ?cache cls db g ~fanouts ~levels ~labels ~best node =
                 (Matcher.class_name cls) node }));
   (!tried, !super_tried, patterns)
 
-let label ?(pi_arrival = fun _ -> 0.0) ?cache mode db g =
+(* The level sweep. A node's label depends only on nodes at strictly
+   smaller levels, so each level of [Arena.level_ranges] is an
+   independent front. With [jobs > 1] a wide level is fanned across a
+   domain pool (work-stealing dense slices of the order array); every
+   other level, and every level at [jobs = 1], runs on the calling
+   domain. Scheduling only changes who computes a label, never its
+   value: each node is written by exactly one worker and the level
+   barrier publishes lower levels before anyone reads them, so labels
+   and best matches are bit-identical for every [jobs]. *)
+let label ?(jobs = 1) ?(pi_arrival = fun _ -> 0.0) mode db a =
+  let jobs = max 1 jobs in
   let cls = mode_class mode in
-  let n = Subject.num_nodes g in
-  let fanouts = Subject.fanout_counts g in
-  let levels = Subject.levels g in
+  let n = Arena.num_nodes a in
+  let fanouts = Arena.fanout_counts a in
+  let levels = Arena.levels a in
+  let order, starts = Arena.level_ranges a in
+  let num_levels = Array.length starts - 1 in
   let labels = Array.make n 0.0 in
   let best : Matcher.mtch option array = Array.make n None in
-  let tried = ref 0 in
-  let super_tried = ref 0 in
-  let patterns = ref 0 in
-  for node = 0 to n - 1 do
-    match Subject.kind g node with
-    | Spi -> labels.(node) <- pi_arrival node
-    | Snand _ | Sinv _ ->
+  (* Per-worker counters; the totals are deterministic (sums over
+     nodes of per-node counts) even though the split is not. *)
+  let tried = Array.make jobs 0 in
+  let super_tried = Array.make jobs 0 in
+  let patterns_tried = Array.make jobs 0 in
+  let level_seconds = Array.make num_levels 0.0 in
+  let level_hist = Metrics.histogram "parmap.level_seconds" in
+  let parallel_levels = ref 0 in
+  let chunks_claimed = Atomic.make 0 in
+  let failure : exn option Atomic.t = Atomic.make None in
+  let f0 = a.Arena.fanin0 in
+  let process worker node =
+    if fanin f0 node < 0 then labels.(node) <- pi_arrival node
+    else begin
       let t, st, pt =
-        label_node ?cache cls db g ~fanouts ~levels ~labels ~best node
+        label_node cls db a ~fanouts ~levels ~labels ~best node
       in
-      tried := !tried + t;
-      super_tried := !super_tried + st;
-      patterns := !patterns + pt
+      tried.(worker) <- tried.(worker) + t;
+      super_tried.(worker) <- super_tried.(worker) + st;
+      patterns_tried.(worker) <- patterns_tried.(worker) + pt
+    end
+  in
+  let pool = if jobs > 1 then Some (Parmap.make_pool (jobs - 1)) else None in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Parmap.shutdown_pool pool)
+    (fun () ->
+      let run_level li =
+        let t0 = Clock.now () in
+        let lo = starts.(li) and hi = starts.(li + 1) in
+        (match pool with
+         | Some pool when hi - lo >= Parmap.fanout_threshold jobs ->
+           incr parallel_levels;
+           let cursor = Atomic.make lo in
+           let chunk = Parmap.chunk_for ~jobs (hi - lo) in
+           Parmap.run_pool pool (fun w ->
+               try
+                 Parmap.steal_chunks ~cursor ~chunks_claimed ~chunk ~hi
+                   (fun i -> process w order.(i))
+               with e ->
+                 ignore (Atomic.compare_and_set failure None (Some e)));
+           Option.iter raise (Atomic.get failure)
+         | _ ->
+           for i = lo to hi - 1 do
+             process (jobs - 1) order.(i)
+           done);
+        let dt = Clock.now () -. t0 in
+        level_seconds.(li) <- dt;
+        Metrics.Histogram.observe level_hist dt
+      in
+      for li = 0 to num_levels - 1 do
+        if Span.is_enabled () then
+          Span.with_span ~cat:"mapper"
+            (Printf.sprintf "level %d (%d nodes)" li
+               (starts.(li + 1) - starts.(li)))
+            (fun () -> run_level li)
+        else run_level li
+      done);
+  let sum = Array.fold_left ( + ) 0 in
+  let widest_level = ref 0 in
+  for l = 0 to num_levels - 1 do
+    widest_level := max !widest_level (starts.(l + 1) - starts.(l))
   done;
-  (labels, best, (!tried, !super_tried, !patterns))
+  Metrics.Counter.add (Metrics.counter "parmap.chunks") (Atomic.get chunks_claimed);
+  Metrics.Counter.add (Metrics.counter "parmap.parallel_levels") !parallel_levels;
+  let par =
+    { Parmap.domains = jobs;
+      levels = num_levels;
+      widest_level = !widest_level;
+      level_seconds;
+      parallel_levels = !parallel_levels;
+      chunks = Atomic.get chunks_claimed }
+  in
+  (labels, best, (sum tried, sum super_tried, sum patterns_tried), par)
+
+(* ------------------------------------------------------------------ *)
+(* Cover construction                                                  *)
+(* ------------------------------------------------------------------ *)
 
 (* Cover construction (paper §3.3): a queue seeded with the output
    drivers; each popped node contributes one gate instance whose
@@ -133,19 +276,17 @@ let label ?(pi_arrival = fun _ -> 0.0) ?cache mode db g =
    a match need no instance of their own unless some other match (or
    output) exposes them — that is exactly where DAG covering
    duplicates logic. *)
-let cover g (best : Matcher.mtch option array) =
+let cover a ~subject (best : Matcher.mtch option array) =
+  let f0 = a.Arena.fanin0 in
   let needed : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let queue = Queue.create () in
   let require node =
-    match Subject.kind g node with
-    | Spi -> ()
-    | Snand _ | Sinv _ ->
-      if not (Hashtbl.mem needed node) then begin
-        Hashtbl.add needed node ();
-        Queue.add node queue
-      end
+    if fanin f0 node >= 0 && not (Hashtbl.mem needed node) then begin
+      Hashtbl.add needed node ();
+      Queue.add node queue
+    end
   in
-  List.iter (fun o -> require o.Subject.out_node) g.Subject.outputs;
+  Array.iter (fun (_, node) -> require node) a.Arena.outputs;
   let chosen = ref [] in
   while not (Queue.is_empty queue) do
     let node = Queue.pop queue in
@@ -153,16 +294,17 @@ let cover g (best : Matcher.mtch option array) =
     | None -> assert false (* label pass guarantees a match *)
     | Some m ->
       chosen := (node, m) :: !chosen;
-      Array.iter (fun pin_node -> if pin_node >= 0 then require pin_node) m.Matcher.pins
+      Array.iter
+        (fun pin_node -> if pin_node >= 0 then require pin_node)
+        m.Matcher.pins
   done;
   (* Assign instance indices, then wire (handles forward references
      between instances created in queue order). *)
   let index = Hashtbl.create 64 in
   List.iteri (fun i (node, _) -> Hashtbl.replace index node i) !chosen;
   let driver_of node =
-    match Subject.kind g node with
-    | Spi -> Netlist.D_pi node
-    | Snand _ | Sinv _ -> Netlist.D_gate (Hashtbl.find index node)
+    if fanin f0 node < 0 then Netlist.D_pi node
+    else Netlist.D_gate (Hashtbl.find index node)
   in
   let instances =
     Array.of_list
@@ -183,50 +325,51 @@ let cover g (best : Matcher.mtch option array) =
          !chosen)
   in
   let outputs =
-    List.map (fun o -> (o.Subject.out_name, driver_of o.Subject.out_node)) g.Subject.outputs
-    @ List.map (fun (name, b) -> (name, Netlist.D_const b)) g.Subject.const_outputs
+    List.map (fun (name, node) -> (name, driver_of node))
+      (Array.to_list a.Arena.outputs)
+    @ List.map (fun (name, b) -> (name, Netlist.D_const b)) a.Arena.const_outputs
   in
-  { Netlist.source = g; instances; outputs }
+  { Netlist.source = subject; instances; outputs }
 
 let super_gates_in netlist =
   Array.fold_left
     (fun acc i -> if Gate.is_super i.Netlist.gate then acc + 1 else acc)
     0 netlist.Netlist.instances
 
-(* Phase timings use the monotonic wall clock. They used to be
-   [Sys.time] (process CPU), which callers then compared against the
-   wall-clock numbers of Parmap and the bench harness — mixing two
-   incompatible time bases. [Obs.Clock] is the single source of truth
-   now; CPU seconds are still available to callers that want them
-   via [Clock.time_wall_cpu]. *)
-let map ?(cache = true) mode db g =
-  let cache = if cache then Some (Matchdb.create_cache db) else None in
+(* ------------------------------------------------------------------ *)
+(* End to end                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Phase timings use the monotonic wall clock ([Obs.Clock]), the same
+   time base as the bench harness and the per-level timings. *)
+let map_arena ?jobs ?subject mode db a =
+  let subject =
+    match subject with Some s -> s | None -> Arena.to_subject a
+  in
   let t0 = Clock.now () in
-  let labels, best, (tried, super_tried, patterns_tried) =
-    Span.with_span ~cat:"mapper" "label" (fun () -> label ?cache mode db g)
+  let labels, best, (tried, super_tried, patterns_tried), par =
+    Span.with_span ~cat:"mapper" "label" (fun () -> label ?jobs mode db a)
   in
   let t1 = Clock.now () in
-  let netlist = Span.with_span ~cat:"mapper" "cover" (fun () -> cover g best) in
+  let netlist =
+    Span.with_span ~cat:"mapper" "cover" (fun () -> cover a ~subject best)
+  in
   let t2 = Clock.now () in
   Metrics.Histogram.observe (Metrics.histogram "mapper.label_seconds") (t1 -. t0);
   Metrics.Histogram.observe (Metrics.histogram "mapper.cover_seconds") (t2 -. t1);
   Metrics.Counter.incr (Metrics.counter "mapper.maps");
   Metrics.Counter.add (Metrics.counter "mapper.matches_tried") tried;
-  let ch, cm, cl =
-    match cache with
-    | None -> (0, 0, 0)
-    | Some c ->
-      (Matchdb.cache_hits c, Matchdb.cache_misses c, Matchdb.cache_lookups c)
-  in
   { netlist;
     labels;
     best;
+    par;
     run =
       { label_seconds = t1 -. t0; cover_seconds = t2 -. t1;
         matches_tried = tried; super_matches_tried = super_tried;
-        patterns_tried;
-        cache_hits = ch; cache_misses = cm; cache_lookups = cl;
+        patterns_tried; cache_hits = 0; cache_lookups = 0;
         super_gates_used = super_gates_in netlist } }
+
+let map ?jobs mode db g = map_arena ?jobs ~subject:g mode db (Arena.of_subject g)
 
 let optimal_delay r =
   List.fold_left

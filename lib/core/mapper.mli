@@ -1,7 +1,7 @@
 (** Delay-oriented technology mapping by graph covering.
 
-    One dynamic program serves both mappers, parameterized by the
-    match class:
+    One dynamic program serves every mapper mode, parameterized by
+    the match class:
 
     - {!Tree}: exact matches only — matches never cross multi-fanout
       points and never require duplication; this is conventional
@@ -18,7 +18,15 @@
 
     Under the load-independent delay model the DAG modes are
     delay-optimal with respect to the subject graph and the pattern
-    set. *)
+    set.
+
+    There is one labeling engine. It runs on the flat {!Arena}, level
+    by level: a node's label depends only on nodes at strictly smaller
+    levels, so [jobs > 1] fans each wide level across a {!Parmap}
+    domain pool while [jobs = 1] runs the same sweep on the calling
+    domain. Labels, best matches and covers are bit-identical for
+    every [jobs]. {!map} is the boxed {!Subject.t} entry point; it
+    converts with {!Arena.of_subject}, which keeps node ids. *)
 
 open Dagmap_subject
 
@@ -34,10 +42,8 @@ exception Unmappable of { node : int; description : string }
 type stats = {
   label_seconds : float;
       (** monotonic wall seconds of the labeling pass
-          ({!Dagmap_obs.Clock.now}) — same time base as {!Parmap} and
-          the bench harness, so phase timings are directly comparable
-          (these fields were process-CPU [Sys.time] once, which
-          understated parallel phases and mixed clocks) *)
+          ({!Dagmap_obs.Clock.now}) — the same time base as the
+          per-level timings and the bench harness *)
   cover_seconds : float;  (** monotonic wall seconds of the cover pass *)
   matches_tried : int;   (** successful matches considered while labeling *)
   super_matches_tried : int;
@@ -45,13 +51,12 @@ type stats = {
           ({!Dagmap_genlib.Gate.is_super}) *)
   patterns_tried : int;
       (** patterns handed to the structural matcher while labeling,
-          whether or not they matched; cache hits replay without
-          trying any. Deterministic for one cache, but with caching
-          on and several domains it depends on which worker's cache
-          sees a shape first, like the hit/miss split *)
-  cache_hits : int;      (** match-cache hits (0 when caching is off) *)
-  cache_misses : int;
-  cache_lookups : int;   (** = hits + misses *)
+          whether or not they matched; deterministic for every [jobs] *)
+  cache_hits : int;
+  cache_lookups : int;
+      (** Always 0. The cone-signature match cache these counted was
+          removed once the shape index made it cost more than it
+          saved; the fields stay so existing readers keep compiling. *)
   super_gates_used : int;
       (** supergate instances in the final cover netlist *)
 }
@@ -61,55 +66,56 @@ type result = {
   labels : float array;  (** optimal arrival per subject node *)
   best : Matcher.mtch option array;
   run : stats;
+  par : Parmap.par_stats;  (** shape and timing of the level sweep *)
 }
 
-val map : ?cache:bool -> mode -> Matchdb.t -> Subject.t -> result
-(** [cache] (default [true]) enables the {!Matchdb} match cache for
-    the labeling pass. Caching never changes the result — cached and
-    uncached enumeration return identical match lists — it only skips
-    redundant backtracking searches on repeated local shapes. *)
+val map : ?jobs:int -> mode -> Matchdb.t -> Subject.t -> result
+(** Label and cover a boxed subject graph. [jobs] (default 1) is the
+    number of domains the labeling sweep may use. *)
+
+val map_arena :
+  ?jobs:int -> ?subject:Subject.t -> mode -> Matchdb.t -> Arena.t -> result
+(** {!map} for a caller that already holds the arena. [subject]
+    becomes [Netlist.source]; it must describe the same graph, and
+    defaults to {!Arena.to_subject}. *)
 
 val label :
+  ?jobs:int ->
   ?pi_arrival:(int -> float) ->
-  ?cache:Matchdb.cache ->
   mode ->
   Matchdb.t ->
-  Subject.t ->
-  float array * Matcher.mtch option array * (int * int * int)
+  Arena.t ->
+  float array
+  * Matcher.mtch option array
+  * (int * int * int)
+  * Parmap.par_stats
 (** Labeling pass only: optimal arrival and best match per node,
-    plus [(matches tried, supergate matches tried, patterns tried)]. [pi_arrival]
-    overrides the arrival time of a PI node (default 0 everywhere) —
-    the sequential extension uses it to inject latch-output
-    arrivals. *)
+    [(matches tried, supergate matches tried, patterns tried)] and the
+    sweep's level statistics. [pi_arrival] overrides the arrival time
+    of a PI node (default 0 everywhere) — the sequential extension
+    uses it to inject latch-output arrivals. Raises {!Unmappable} for
+    any [jobs] exactly when a node has no match. *)
 
-val label_node :
-  ?cache:Matchdb.cache ->
-  Matcher.match_class ->
+val for_each_node_match :
   Matchdb.t ->
-  Subject.t ->
+  Matcher.match_class ->
+  Arena.t ->
   fanouts:int array ->
   levels:int array ->
-  labels:float array ->
-  best:Matcher.mtch option array ->
   int ->
-  int * int * int
-(** The DP kernel for one NAND/INV node: fills [labels.(node)] and
-    [best.(node)] from the labels of its fanin cone and returns
-    [(matches considered, supergate matches considered, patterns
-    tried)]. Raises
-    {!Unmappable} if the node
-    has no match. Reads only strictly-lower-level entries of
-    [labels], so calls within one topological level are independent —
-    {!Parmap} relies on exactly this. Do not call on a PI node. *)
+  (Matcher.mtch -> unit) ->
+  int
+(** [for_each_node_match db cls a ~fanouts ~levels node f] calls [f]
+    on every match of every library pattern rooted at arena node
+    [node], in the enumeration order that decides labeling ties, and
+    returns the number of patterns handed to the matcher. [fanouts]
+    and [levels] must be {!Arena.fanout_counts} and {!Arena.levels}.
+    The match set equals that of the boxed {!Matcher.for_each_match}
+    over every pattern; the test suite asserts this. *)
 
 val super_gates_in : Netlist.t -> int
 (** Number of supergate instances in a netlist (the
     [super_gates_used] statistic). *)
-
-val cover : Subject.t -> Matcher.mtch option array -> Netlist.t
-(** Cover construction (paper §3.3) from a completed [best] array:
-    walk back from the outputs, instantiating each needed node's best
-    match and duplicating subject logic where matches overlap. *)
 
 val optimal_delay : result -> float
 (** Worst label over the subject outputs (equals

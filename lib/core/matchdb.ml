@@ -1,10 +1,12 @@
 open Dagmap_genlib
-open Dagmap_subject
-open Dagmap_obs
 
 (* ------------------------------------------------------------------ *)
 (* Shape index                                                         *)
 (* ------------------------------------------------------------------ *)
+
+(* Typed reads: an unannotated [Bigarray.Array1.unsafe_get] stays
+   polymorphic and compiles to a bounds-checked C call per read. *)
+let fanin (v : Arena.iarr) i = Bigarray.Array1.unsafe_get v i
 
 (* A node's [shape] is the unordered NAND/INV/PI tree its fanin cone
    unfolds to over [shape_levels] levels, with the nodes one level
@@ -18,17 +20,17 @@ open Dagmap_obs
 let shape_levels = 4
 let shape_count = [| 1; 3; 10; 66; 2278 |]
 
-let rec shape_code ~fanin0 ~fanin1 d node =
+let rec shape_code a d node =
   if d = 0 then 0
   else
-    let x = fanin0 node in
+    let x = fanin a.Arena.fanin0 node in
     if x < 0 then 0
     else
-      let cx = shape_code ~fanin0 ~fanin1 (d - 1) x in
-      let y = fanin1 node in
+      let cx = shape_code a (d - 1) x in
+      let y = fanin a.Arena.fanin1 node in
       if y < 0 then 1 + cx
       else
-        let cy = shape_code ~fanin0 ~fanin1 (d - 1) y in
+        let cy = shape_code a (d - 1) y in
         let lo = min cx cy and hi = max cx cy in
         1 + shape_count.(d - 1) + (hi * (hi + 1) / 2) + lo
 
@@ -54,17 +56,16 @@ let rec demand_of p pid d =
    edges to subject edges of like kinds, so this is necessary for a
    match; it reads only what the shape code records, so it is equal
    on nodes of equal code. *)
-let rec fits ~fanin0 ~fanin1 dm node =
+let rec fits a dm node =
   match dm with
   | Any -> true
   | Inv c ->
-    let x = fanin0 node in
-    x >= 0 && fanin1 node < 0 && fits ~fanin0 ~fanin1 c x
-  | Nand (a, b) ->
-    let x = fanin0 node and y = fanin1 node in
+    let x = fanin a.Arena.fanin0 node in
+    x >= 0 && fanin a.Arena.fanin1 node < 0 && fits a c x
+  | Nand (l, r) ->
+    let x = fanin a.Arena.fanin0 node and y = fanin a.Arena.fanin1 node in
     x >= 0 && y >= 0
-    && ((fits ~fanin0 ~fanin1 a x && fits ~fanin0 ~fanin1 b y)
-        || (fits ~fanin0 ~fanin1 a y && fits ~fanin0 ~fanin1 b x))
+    && ((fits a l x && fits a r y) || (fits a l y && fits a r x))
 
 (* Patterns of one root kind, in enumeration order, each tagged with
    the index of its demand in [demands]. *)
@@ -102,7 +103,6 @@ type t = {
   shapes : Pattern.t array option array;
       (* shape code -> the patterns of the matching [*_rooted] that
          fit it, filled on first use (see [candidates]) *)
-  max_depth : int;  (* deepest pattern, in edges; bounds every cone *)
   mutable boolean_memo : Boolean_match.t option;
       (* lazily-built Boolean index over the same library (incl. any
          supergates), shared by the cut mappers — see [boolean] *)
@@ -140,17 +140,11 @@ let prepare lib =
       (Array.of_list
          (List.filter (fun p -> f p.Pattern.nodes.(p.Pattern.root)) ranked))
   in
-  let max_depth =
-    List.fold_left
-      (fun acc p -> max acc p.Pattern.depth)
-      1 lib.Libraries.patterns
-  in
   (* Wire/buffer patterns (leaf roots) cannot root a cover. *)
   { lib;
     inv_rooted = rooted_by (function Pattern.Pinv _ -> true | _ -> false);
     nand_rooted = rooted_by (function Pattern.Pnand _ -> true | _ -> false);
     shapes = Array.make shape_count.(shape_levels) None;
-    max_depth;
     boolean_memo = None }
 
 let library db = db.lib
@@ -171,21 +165,24 @@ let boolean db =
 
 let num_patterns db = List.length db.lib.Libraries.patterns
 
-let max_depth db = db.max_depth
+let rooting_patterns db =
+  Array.to_list db.inv_rooted.patterns @ Array.to_list db.nand_rooted.patterns
 
 (* A slot is filled the first time its shape is seen, from the node
    in hand; equal codes give equal fills, so the store is the same
    benign race as [boolean_memo]: concurrent labelers at worst compute
    one slot twice. *)
-let candidates db ~fanin0 ~fanin1 node =
-  if fanin0 node < 0 then [||]
+let candidates db a node =
+  if fanin a.Arena.fanin0 node < 0 then [||]
   else
-    let code = shape_code ~fanin0 ~fanin1 shape_levels node in
+    let code = shape_code a shape_levels node in
     match db.shapes.(code) with
     | Some ps -> ps
     | None ->
-      let r = if fanin1 node < 0 then db.inv_rooted else db.nand_rooted in
-      let ok = Array.map (fun dm -> fits ~fanin0 ~fanin1 dm node) r.demands in
+      let r =
+        if fanin a.Arena.fanin1 node < 0 then db.inv_rooted else db.nand_rooted
+      in
+      let ok = Array.map (fun dm -> fits a dm node) r.demands in
       let ps =
         Array.of_list
           (List.filteri
@@ -195,7 +192,7 @@ let candidates db ~fanin0 ~fanin1 node =
       db.shapes.(code) <- Some ps;
       ps
 
-let for_each_candidate db ~fanin0 ~fanin1 ~level node try_pattern =
+let for_each_candidate db a ~level node try_pattern =
   let tried = ref 0 in
   Array.iter
     (fun p ->
@@ -203,267 +200,5 @@ let for_each_candidate db ~fanin0 ~fanin1 ~level node try_pattern =
         incr tried;
         try_pattern p
       end)
-    (candidates db ~fanin0 ~fanin1 node);
+    (candidates db a node);
   !tried
-
-let subject_fanin0 g node =
-  match Subject.kind g node with
-  | Subject.Spi -> -1
-  | Subject.Sinv x | Subject.Snand (x, _) -> x
-
-let subject_fanin1 g node =
-  match Subject.kind g node with
-  | Subject.Snand (_, y) -> y
-  | Subject.Spi | Subject.Sinv _ -> -1
-
-let enumerate db cls g ~fanouts ~levels node f =
-  for_each_candidate db ~fanin0:(subject_fanin0 g) ~fanin1:(subject_fanin1 g)
-    ~level:levels.(node) node (fun p ->
-      Matcher.for_each_match cls g ~fanouts p node f)
-
-(* ------------------------------------------------------------------ *)
-(* Canonical-signature match cache                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The labeling pass enumerates matches at every subject node, but
-   ISCAS-like circuits are full of repeated local shapes (adder cells,
-   compressor rows, decoder slices). Whether a pattern matches at a
-   node depends only on the depth-bounded cone under that node — every
-   binding made by the matcher lands within [max_depth] edges of the
-   root — so isomorphic cones have isomorphic match sets. We key each
-   node by a canonical signature of that cone and replay the match set
-   through the isomorphism instead of re-running the backtracking
-   search. This is the structural analogue of the NPN-canonical cut
-   caching used by Boolean matchers: NPN classes would under-split
-   (structural matching distinguishes decompositions of the same
-   function), so the key is the canonical local DAG itself.
-
-   The signature is built by a breadth-first enumeration from the
-   root: local ids are assigned in first-visit order, nodes first seen
-   at depth [max_depth] are recorded as opaque frontier leaves (only
-   pattern leaves can bind there), and sharing is captured by child
-   references to already-assigned local ids. Equal signatures
-   therefore guarantee an isomorphism of everything the matcher can
-   observe: kinds, sharing/injectivity structure, the root's
-   depth-prune level and — for the exact class — fanout counts of
-   interior nodes. Matches are stored with pins/covered translated to
-   local ids and translated back on a hit, preserving enumeration
-   order, so cached and uncached lookups return identical lists. *)
-
-type centry = {
-  c_pattern : Pattern.t;
-  c_pins : int array;     (* local cone ids; -1 for an unused pin *)
-  c_covered : int array;  (* local cone ids *)
-}
-
-type cache = {
-  table : (string, centry list) Hashtbl.t;
-  (* Counters are [Obs.Metrics] atomics: the per-cache totals feed
-     Mapper.stats, and every bump is mirrored into the process-global
-     registry counters below, which are shared by all caches across
-     all Parmap domains. The former [mutable int] fields lost updates
-     whenever a cache (or the aggregate) was read or written from
-     more than one domain. *)
-  hits : Metrics.Counter.t;
-  misses : Metrics.Counter.t;
-  lookups : Metrics.Counter.t;
-  mutable disabled : bool;
-  (* Scratch state reused across lookups (single-threaded per cache;
-     parallel labeling gives each worker domain its own cache). *)
-  mutable cone : int array;        (* local id -> subject id *)
-  mutable cone_len : int;
-  local_of : (int, int) Hashtbl.t; (* subject id -> local id *)
-  buf : Buffer.t;
-}
-
-(* Process-global aggregates over every cache in every domain. The
-   conservation law [lookups = hits + misses] holds on these exactly
-   because each counter is atomic — the multi-domain test in
-   test_matchcache.ml locks this down. *)
-let global_hits = Metrics.counter "matchdb.cache.hits"
-let global_misses = Metrics.counter "matchdb.cache.misses"
-let global_lookups = Metrics.counter "matchdb.cache.lookups"
-
-let create_cache _db =
-  { table = Hashtbl.create 1024;
-    hits = Metrics.Counter.create ();
-    misses = Metrics.Counter.create ();
-    lookups = Metrics.Counter.create ();
-    disabled = false;
-    cone = Array.make 64 0;
-    cone_len = 0;
-    local_of = Hashtbl.create 64;
-    buf = Buffer.create 256 }
-
-let cache_hits c = Metrics.Counter.value c.hits
-let cache_misses c = Metrics.Counter.value c.misses
-let cache_lookups c = Metrics.Counter.value c.lookups
-let cache_retired c = c.disabled
-
-let count_hit c =
-  Metrics.Counter.incr c.hits;
-  Metrics.Counter.incr global_hits
-
-let count_miss c =
-  Metrics.Counter.incr c.misses;
-  Metrics.Counter.incr global_misses
-
-let count_lookup c =
-  Metrics.Counter.incr c.lookups;
-  Metrics.Counter.incr global_lookups
-
-let reset_counters c =
-  Metrics.Counter.reset c.hits;
-  Metrics.Counter.reset c.misses;
-  Metrics.Counter.reset c.lookups
-
-(* Beyond this cone size the signature itself gets expensive and
-   shapes stop repeating; bypass the cache (still deterministic). *)
-let cone_budget = 512
-
-(* Caching only pays on circuits with repeated local shapes. On
-   shape-diverse subjects (seeded random logic) signature+store
-   overhead exceeds the savings, so a cache that keeps missing turns
-   itself off: after [probation] lookups, if the hit rate is below
-   1/2^[min_hit_shift], further lookups bypass the cache (and
-   are not counted — the hits/misses/lookups invariant is preserved
-   on whatever was actually looked up). *)
-let probation = 2048
-let min_hit_shift = 2 (* hits < lookups/2^2, i.e. < 25 % *)
-
-let maybe_retire c =
-  if
-    cache_lookups c >= probation
-    && cache_hits c < cache_lookups c asr min_hit_shift
-  then begin
-    c.disabled <- true;
-    Hashtbl.reset c.table
-  end
-
-let push_cone c sid =
-  let id = c.cone_len in
-  if id = Array.length c.cone then begin
-    let grown = Array.make (2 * id) 0 in
-    Array.blit c.cone 0 grown 0 id;
-    c.cone <- grown
-  end;
-  c.cone.(id) <- sid;
-  c.cone_len <- id + 1;
-  Hashtbl.replace c.local_of sid id;
-  id
-
-(* Local ids fit 16 bits (cone_budget + transient slack << 65536). *)
-let add_id buf i = Buffer.add_int16_ne buf i
-
-(* Build the canonical cone signature rooted at [node]; fills
-   [c.cone]/[c.local_of] with the local enumeration and returns the
-   key, or [None] if the cone exceeds the budget. *)
-let cone_key c db cls g ~fanouts ~levels node =
-  c.cone_len <- 0;
-  Hashtbl.reset c.local_of;
-  let buf = c.buf in
-  Buffer.clear buf;
-  Buffer.add_char buf
-    (match cls with
-     | Matcher.Standard -> 's'
-     | Matcher.Exact -> 'e'
-     | Matcher.Extended -> 'x');
-  Buffer.add_int8 buf (min levels.(node) db.max_depth);
-  let exact = cls = Matcher.Exact in
-  (* Breadth-first so that first-visit depth equals min-depth: a node
-     expanded once is expandable from every occurrence. *)
-  let q = Queue.create () in
-  ignore (push_cone c node);
-  Queue.add (node, 0) q;
-  let ok = ref true in
-  while !ok && not (Queue.is_empty q) do
-    let sid, d = Queue.pop q in
-    if c.cone_len > cone_budget then ok := false
-    else begin
-      let child x =
-        match Hashtbl.find_opt c.local_of x with
-        | Some l -> l
-        | None ->
-          let l = push_cone c x in
-          Queue.add (x, d + 1) q;
-          l
-      in
-      (if d >= db.max_depth then Buffer.add_char buf 'f'
-       else
-         match Subject.kind g sid with
-         | Subject.Spi -> Buffer.add_char buf 'p'
-         | Subject.Sinv x ->
-           Buffer.add_char buf 'i';
-           add_id buf (child x)
-         | Subject.Snand (x, y) ->
-           Buffer.add_char buf 'n';
-           let lx = child x in
-           let ly = child y in
-           add_id buf lx;
-           add_id buf ly);
-      (* The exact class compares subject fanouts against pattern
-         fanouts, which are tiny; every count >= 255 is equivalent, so
-         one clamped byte keeps the key injective where it matters. *)
-      if exact && d > 0 && d < db.max_depth then
-        Buffer.add_int8 buf (min fanouts.(sid) 255)
-    end
-  done;
-  if !ok then Some (Buffer.contents buf) else None
-
-let translate c (e : centry) =
-  let pins =
-    Array.map (fun l -> if l >= 0 then c.cone.(l) else -1) e.c_pins
-  in
-  let covered = Array.map (fun l -> c.cone.(l)) e.c_covered in
-  (* The matcher reports covered nodes sorted by subject id; keep the
-     translated match bit-identical to a fresh enumeration. *)
-  Array.sort compare covered;
-  { Matcher.pattern = e.c_pattern; pins; covered }
-
-let intern c (m : Matcher.mtch) =
-  { c_pattern = m.Matcher.pattern;
-    c_pins =
-      Array.map
-        (fun s -> if s >= 0 then Hashtbl.find c.local_of s else -1)
-        m.Matcher.pins;
-    c_covered = Array.map (fun s -> Hashtbl.find c.local_of s) m.Matcher.covered }
-
-let for_each_node_match ?cache db cls g ~fanouts ~levels node f =
-  match cache, Subject.kind g node with
-  | None, _ | _, Spi -> enumerate db cls g ~fanouts ~levels node f
-  | Some c, (Snand _ | Sinv _) when c.disabled ->
-    enumerate db cls g ~fanouts ~levels node f
-  | Some c, (Snand _ | Sinv _) -> begin
-    count_lookup c;
-    match cone_key c db cls g ~fanouts ~levels node with
-    | None ->
-      (* Over-budget cone: charge a miss, don't store. *)
-      count_miss c;
-      maybe_retire c;
-      enumerate db cls g ~fanouts ~levels node f
-    | Some key -> begin
-      match Hashtbl.find_opt c.table key with
-      | Some entries ->
-        count_hit c;
-        List.iter (fun e -> f (translate c e)) entries;
-        0
-      | None ->
-        count_miss c;
-        maybe_retire c;
-        let acc = ref [] in
-        let tried =
-          enumerate db cls g ~fanouts ~levels node (fun m ->
-              acc := intern c m :: !acc;
-              f m)
-        in
-        if not c.disabled then Hashtbl.replace c.table key (List.rev !acc);
-        tried
-    end
-  end
-
-let node_matches ?cache db cls g ~fanouts ~levels node =
-  let acc = ref [] in
-  ignore
-    (for_each_node_match ?cache db cls g ~fanouts ~levels node (fun m ->
-         acc := m :: !acc));
-  List.rev !acc

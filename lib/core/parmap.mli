@@ -1,22 +1,13 @@
-(** Multicore labeling: the paper's DP, level-parallel on OCaml 5
-    domains.
+(** The OCaml 5 domain pool and the scheduling policy of every
+    level-parallel sweep.
 
     A node's optimal label depends only on nodes at strictly smaller
-    {!Subject.levels}, so each topological level is an independent
-    front: the sweep runs level by level, fanning the nodes of a
-    level across a domain pool with work-stealing chunks and a
-    spawn/join barrier between levels. Labels, best matches, netlist
-    and delay are {e bit-identical} to the sequential {!Mapper} —
-    each label is a pure function of lower-level labels and every
-    node is written by exactly one worker — which the test suite
-    asserts for 1, 2 and 4 domains.
-
-    Each worker owns a private {!Matchdb.cache}; aggregate hit/miss
-    counters are summed into the returned {!Mapper.stats} (the split
-    between workers depends on the stealing schedule, the totals'
-    invariants do not). *)
-
-open Dagmap_subject
+    {!Arena.levels}, so each topological level is an independent
+    front: a sweep runs level by level, fanning the nodes of a wide
+    level across the pool with work-stealing chunks and a barrier
+    between levels. The labeling DP ({!Mapper.label}), the arena cut
+    enumerator and supergate enumeration all use it; the daemon uses
+    the pool's service mode. *)
 
 type par_stats = {
   domains : int;            (** domains actually used (>= 1) *)
@@ -64,10 +55,10 @@ val steal_chunks :
 (** Claim dense [chunk]-sized slices of positions below [hi] through
     [cursor] (pre-set by the caller to the first position) and apply
     the callback to each claimed position — the work-stealing
-    protocol shared by every level-parallel sweep (boxed labeler,
-    arena labeler, arena cut enumerator). Callbacks must not raise;
-    trap exceptions into an [Atomic.t] and re-raise after the
-    barrier, as {!label} does. *)
+    protocol shared by every level-parallel sweep (labeler, arena cut
+    enumerator). Callbacks must not raise; trap exceptions into an
+    [Atomic.t] and re-raise after the barrier, as {!Mapper.label}
+    does. *)
 
 (** {1 Persistent domain pool}
 
@@ -80,7 +71,8 @@ val steal_chunks :
     - {b barrier mode} ({!run_pool}): one task per worker {e and} on
       the calling domain, so a task sees worker indices [0 .. s]
       ([s] = the caller). Tasks must not raise — trap exceptions into
-      an [Atomic.t] and re-raise after the barrier, as {!label} does.
+      an [Atomic.t] and re-raise after the barrier, as
+      {!Mapper.label} does.
     - {b service mode} ({!submit}/{!drain}): independent fire-and-
       forget jobs picked up by any idle worker; exceptions escaping a
       job are swallowed (trap them in the closure if the outcome
@@ -131,75 +123,3 @@ val shutdown_pool : pool -> unit
     (call {!drain} first for a graceful stop). Idempotent — extra
     calls, including concurrent ones, are no-ops. The pool must not
     be used afterwards. *)
-
-val label :
-  ?jobs:int ->
-  ?cache:bool ->
-  ?pi_arrival:(int -> float) ->
-  Mapper.mode ->
-  Matchdb.t ->
-  Subject.t ->
-  float array
-  * Matcher.mtch option array
-  * (int * int * int * int * int * int)
-  * par_stats
-(** Parallel labeling pass. [jobs] defaults to {!recommended_jobs};
-    [cache] (default true) enables per-worker match caches. The int
-    tuple is (matches tried, supergate matches tried, patterns tried,
-    cache hits, cache misses, cache lookups). Raises {!Mapper.Unmappable}
-    exactly when the sequential pass would. *)
-
-val map :
-  ?jobs:int ->
-  ?cache:bool ->
-  Mapper.mode ->
-  Matchdb.t ->
-  Subject.t ->
-  Mapper.result * par_stats
-(** Parallel labeling + (sequential, output-driven) cover
-    construction. The {!Mapper.result} is bit-identical to
-    [Mapper.map mode db g]; timings in [run] are monotonic wall
-    seconds from the same {!Dagmap_obs.Clock} the sequential mapper
-    uses, so 1-vs-N-domain comparisons are on one time base. *)
-
-(** {1 Arena-native labeling}
-
-    The same level-synchronous sweep running directly on the flat
-    {!Arena}: parallel fronts are dense index ranges of the
-    counting-sorted {!Arena.level_ranges} order array (workers claim
-    contiguous [int] slices through the atomic cursor — no per-level
-    boxed node lists, no allocation on the claim path), and arrival
-    labels land in the off-heap {!Arena_map.labels} vector. This is
-    the million-node hot path: [techmap map --arena --jobs N] and the
-    huge bench tier label here. *)
-
-val label_arena :
-  ?jobs:int ->
-  ?cache:bool ->
-  ?pi_arrival:(int -> float) ->
-  Mapper.mode ->
-  Matchdb.t ->
-  Arena.t ->
-  Arena_map.labels
-  * Matcher.mtch option array
-  * (int * int * int * int * int * int)
-  * par_stats
-(** Parallel arena labeling pass; mirrors {!label} ([cache] enables
-    one private {!Arena_map.cache} per worker). Bit-identical to the
-    sequential {!Arena_map.label} — same labels, best matches and
-    matches-tried counts — for every [jobs]; raises
-    {!Mapper.Unmappable} exactly when it would. *)
-
-val map_arena :
-  ?jobs:int ->
-  ?cache:bool ->
-  ?subject:Subject.t ->
-  Mapper.mode ->
-  Matchdb.t ->
-  Arena.t ->
-  Mapper.result * par_stats
-(** Parallel arena labeling + sequential {!Arena_map.cover},
-    returning a plain {!Mapper.result} like {!Arena_map.map} (which
-    it is bit-identical to, jobs notwithstanding). [subject] avoids a
-    redundant {!Arena.to_subject} when the caller already holds the
-    boxed view; it must describe the same graph. *)

@@ -18,7 +18,7 @@ open Dagmap_core
    A node's slots are written by exactly one worker and read only by
    strictly higher levels (after the level barrier), so the sweep
    parallelizes over the dense {!Arena.level_ranges} slices through
-   the same work-stealing protocol as {!Parmap.label_arena}. Each
+   the same work-stealing protocol as {!Mapper.label}. Each
    node's evaluation is {!Cut_mapper.eval_node} on the reconstructed
    fanin cut lists — a pure function of lower-level state, and
    [Truth.of_bits w (Truth.to_bits f)] is exact — so labels, cut

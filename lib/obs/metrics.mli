@@ -3,11 +3,9 @@
 
     Every primitive is backed by [Atomic.t], so increments from
     concurrent {!Dagmap_core.Parmap} worker domains never lose
-    updates — the invariant that motivated this module is
-    [lookups = hits + misses] on the match-cache counters, which
-    plain [mutable int] fields violated under parallel labeling.
-    The registry maps stable dotted names
-    (e.g. ["matchdb.cache.hits"]) to metrics; registration is
+    updates, as plain [mutable int] fields do under parallel
+    labeling. The registry maps stable dotted names
+    (e.g. ["mapper.maps"]) to metrics; registration is
     find-or-create and mutex-guarded, while the metrics themselves
     are lock-free. *)
 

@@ -47,8 +47,9 @@ let check_period db mode net phi =
     | Some i -> latch_arrival.(i)
     | None -> 0.0
   in
+  let a = Arena.of_subject g in
   let rec iterate remaining =
-    let labels, _, _ = Mapper.label ~pi_arrival mode db g in
+    let labels, _, _, _ = Mapper.label ~pi_arrival mode db a in
     let changed = ref false in
     for i = 0 to n_latches - 1 do
       let next = Float.max 0.0 (labels.(latch_in_node i) -. phi) in

@@ -26,7 +26,6 @@ type request = {
   payload : int option;
   lib : string option;
   mode : string option;
-  cache : bool;
   audit : bool;
   want_blif : bool;
   metrics : bool;
@@ -35,7 +34,7 @@ type request = {
 
 let request verb =
   { verb; id = None; circuit = None; payload = None; lib = None;
-    mode = None; cache = true; audit = false; want_blif = false;
+    mode = None; audit = false; want_blif = false;
     metrics = false; deadline_ms = None }
 
 let max_header = 4096
@@ -97,10 +96,6 @@ let parse_request line =
               | _ ->
                 err ~fatal:true "bad_request"
                   (Printf.sprintf "payload=%s: not a byte count" v))
-            | "cache" -> (
-              match bool_value key v with
-              | Ok b -> fold { req with cache = b } rest
-              | Error e -> Error e)
             | "audit" -> (
               match bool_value key v with
               | Ok b -> fold { req with audit = b } rest
@@ -157,7 +152,6 @@ let encode_request r =
   Option.iter (add "lib") r.lib;
   Option.iter (add "mode") r.mode;
   Option.iter (fun n -> add "payload" (string_of_int n)) r.payload;
-  if not r.cache then add "cache" "0";
   if r.audit then add "audit" "1";
   if r.want_blif then add "blif" "1";
   if r.metrics then add "metrics" "1";

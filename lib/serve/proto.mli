@@ -31,7 +31,6 @@ type request = {
   payload : int option;     (** declared BLIF payload length in bytes *)
   lib : string option;      (** preloaded library name (default: first) *)
   mode : string option;     (** tree | dag | dag-extended (default dag) *)
-  cache : bool;             (** match cache (default true) *)
   audit : bool;             (** run the full lib/check audit on map replies *)
   want_blif : bool;         (** include the mapped netlist BLIF in the reply *)
   metrics : bool;           (** include the metrics registry in stats replies *)

@@ -378,7 +378,7 @@ let map_and_subject t req payload =
   let entry = resolve_lib t req.Proto.lib in
   let mode = resolve_mode req.Proto.mode in
   let sg = Subject.of_network net in
-  let result = Mapper.map ~cache:req.Proto.cache mode entry.db sg in
+  let result = Mapper.map mode entry.db sg in
   (sg, result)
 
 let netlist_fields nl =

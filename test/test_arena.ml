@@ -1,24 +1,17 @@
-(* Arena differential suite: the flat struct-of-arrays core must be
-   indistinguishable from the legacy record-based path — conversion
-   round-trips exactly, derived arrays agree, and arena-backed mapping
-   is bit-identical (labels, best matches, cover structure, stats)
-   across the full mode x jobs x cache x library matrix. *)
+(* The flat struct-of-arrays core: conversion round-trips exactly,
+   derived arrays agree with the boxed graph, and the one labeling
+   engine, which runs on the arena, matches the reference DP in
+   [Oracle] across circuits, libraries, modes and domain counts. *)
 
 open Dagmap_genlib
 open Dagmap_subject
 open Dagmap_core
 open Dagmap_circuits
-open Dagmap_super
 open Dagmap_check
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
-
-let modes = [ Mapper.Tree; Mapper.Dag; Mapper.Dag_extended ]
-
-let libs () =
-  [ Libraries.minimal (); Libraries.lib44_1_like (); Libraries.lib2_like () ]
 
 let fixed_circuits () =
   [ ("adder16", Generators.ripple_adder 16);
@@ -60,21 +53,6 @@ let same_arena (a1 : Arena.t) (a2 : Arena.t) =
   && a1.Arena.num_pis = a2.Arena.num_pis
   && a1.Arena.n_latches = a2.Arena.n_latches
 
-let same_best (b1 : Matcher.mtch option array) (b2 : Matcher.mtch option array) =
-  Array.length b1 = Array.length b2
-  && Array.for_all2
-       (fun m1 m2 ->
-         match m1, m2 with
-         | None, None -> true
-         | Some m1, Some m2 ->
-           (* Physically the same pattern: both paths enumerate out of
-              the same Matchdb shape index. *)
-           m1.Matcher.pattern == m2.Matcher.pattern
-           && m1.Matcher.pins = m2.Matcher.pins
-           && m1.Matcher.covered = m2.Matcher.covered
-         | _ -> false)
-       b1 b2
-
 let same_netlist (n1 : Netlist.t) (n2 : Netlist.t) =
   Array.length n1.Netlist.instances = Array.length n2.Netlist.instances
   && Array.for_all2
@@ -86,32 +64,6 @@ let same_netlist (n1 : Netlist.t) (n2 : Netlist.t) =
          && i1.Netlist.covers = i2.Netlist.covers)
        n1.Netlist.instances n2.Netlist.instances
   && n1.Netlist.outputs = n2.Netlist.outputs
-
-(* The core bit-identity assertion: legacy result vs arena result. *)
-let check_same_result name (seq : Mapper.result) (am : Mapper.result) =
-  check tbool (name ^ " labels") true (seq.Mapper.labels = am.Mapper.labels);
-  check tbool (name ^ " best") true (same_best seq.Mapper.best am.Mapper.best);
-  check tbool (name ^ " netlist") true
-    (same_netlist seq.Mapper.netlist am.Mapper.netlist);
-  check (Alcotest.float 0.0) (name ^ " delay") (Mapper.optimal_delay seq)
-    (Mapper.optimal_delay am);
-  check (Alcotest.float 0.0) (name ^ " area")
-    (Netlist.area seq.Mapper.netlist)
-    (Netlist.area am.Mapper.netlist);
-  check tint (name ^ " matches tried") seq.Mapper.run.Mapper.matches_tried
-    am.Mapper.run.Mapper.matches_tried;
-  check tint (name ^ " super matches tried")
-    seq.Mapper.run.Mapper.super_matches_tried
-    am.Mapper.run.Mapper.super_matches_tried;
-  check tint (name ^ " super gates used")
-    seq.Mapper.run.Mapper.super_gates_used
-    am.Mapper.run.Mapper.super_gates_used;
-  check tint (name ^ " cache lookups") seq.Mapper.run.Mapper.cache_lookups
-    am.Mapper.run.Mapper.cache_lookups;
-  check tint (name ^ " cache hits") seq.Mapper.run.Mapper.cache_hits
-    am.Mapper.run.Mapper.cache_hits;
-  check tint (name ^ " cache misses") seq.Mapper.run.Mapper.cache_misses
-    am.Mapper.run.Mapper.cache_misses
 
 (* ------------------------------------------------------------------ *)
 (* Conversion round-trips                                              *)
@@ -246,242 +198,118 @@ let test_derived_arrays () =
     (fixed_circuits ())
 
 (* ------------------------------------------------------------------ *)
-(* Differential mapping matrix                                         *)
+(* The labeling engine against the reference DP                        *)
 (* ------------------------------------------------------------------ *)
+
+let iscas () =
+  [ ("c432", Iscas_like.c432_like ()); ("c880", Iscas_like.c880_like ()) ]
 
 let test_matrix_sequential () =
   List.iter
     (fun (cname, net) ->
       let g = Subject.of_network net in
-      let a = Arena.of_subject g in
       List.iter
         (fun lib ->
-          let db = Matchdb.prepare lib in
-          List.iter
-            (fun mode ->
-              List.iter
-                (fun cache ->
-                  let name =
-                    Printf.sprintf "%s/%s/%s cache=%b" cname
-                      lib.Libraries.lib_name (Mapper.mode_name mode) cache
-                  in
-                  let seq = Mapper.map ~cache mode db g in
-                  let am = Arena_map.map ~cache ~subject:g mode db a in
-                  check_same_result name seq am)
-                [ true; false ])
-            modes)
-        (libs ()))
-    (fixed_circuits ())
+          Oracle.check_modes ~name:(cname ^ "/" ^ lib.Libraries.lib_name) lib g)
+        [ Libraries.lib2_like (); Libraries.lib44_1_like ();
+          Option.get (Libraries.by_name "44-3") ])
+    (iscas ())
 
 let test_matrix_parallel () =
+  let g = Subject.of_network (Iscas_like.c432_like ()) in
   List.iter
-    (fun (cname, net) ->
-      let g = Subject.of_network net in
-      let a = Arena.of_subject g in
-      List.iter
-        (fun lib ->
-          let db = Matchdb.prepare lib in
-          List.iter
-            (fun mode ->
-              List.iter
-                (fun cache ->
-                  let am = Arena_map.map ~cache ~subject:g mode db a in
-                  List.iter
-                    (fun jobs ->
-                      let par, _ = Parmap.map ~jobs ~cache mode db g in
-                      let name =
-                        Printf.sprintf "%s/%s/%s jobs=%d cache=%b" cname
-                          lib.Libraries.lib_name (Mapper.mode_name mode) jobs
-                          cache
-                      in
-                      check tbool (name ^ " labels") true
-                        (par.Mapper.labels = am.Mapper.labels);
-                      check tbool (name ^ " best") true
-                        (same_best par.Mapper.best am.Mapper.best);
-                      check tbool (name ^ " netlist") true
-                        (same_netlist par.Mapper.netlist am.Mapper.netlist))
-                    [ 1; 2; 4 ])
-                [ true; false ])
-            modes)
-        [ Libraries.minimal (); Libraries.lib2_like () ])
-    [ ("ks16", Generators.kogge_stone_adder 16);
-      ("mult4", Generators.array_multiplier 4) ]
+    (fun lib ->
+      Oracle.check_modes ~jobs:[ 1; 2; 4 ] ~name:("c432/" ^ lib.Libraries.lib_name)
+        lib g)
+    [ Libraries.lib2_like (); Option.get (Libraries.by_name "44-3") ]
 
-(* Parallel-arena vs sequential-arena: labels, best matches, netlist
-   and the deterministic counters must be bit-identical for any job
-   count. Cache hit/miss splits are NOT compared — which worker's
-   cache sees a structure first depends on the schedule (and even
-   sequentially on visit order); only totals of work done are
-   schedule-independent. *)
-let check_par_arena name (am : Mapper.result) (par : Mapper.result) =
-  check tbool (name ^ " labels") true (par.Mapper.labels = am.Mapper.labels);
-  check tbool (name ^ " best") true (same_best par.Mapper.best am.Mapper.best);
-  check tbool (name ^ " netlist") true
-    (same_netlist par.Mapper.netlist am.Mapper.netlist);
-  check (Alcotest.float 0.0) (name ^ " delay") (Mapper.optimal_delay am)
-    (Mapper.optimal_delay par);
-  check (Alcotest.float 0.0) (name ^ " area")
-    (Netlist.area am.Mapper.netlist)
-    (Netlist.area par.Mapper.netlist);
-  check tint (name ^ " matches tried") am.Mapper.run.Mapper.matches_tried
-    par.Mapper.run.Mapper.matches_tried;
-  check tint (name ^ " super matches tried")
-    am.Mapper.run.Mapper.super_matches_tried
-    par.Mapper.run.Mapper.super_matches_tried;
-  check tint (name ^ " super gates used")
-    am.Mapper.run.Mapper.super_gates_used
-    par.Mapper.run.Mapper.super_gates_used
-
-(* The tentpole matrix: Parmap.map_arena (dense level slices across
-   domains) = Arena_map.map (sequential) = Mapper.map (boxed), across
-   mode x jobs x cache x library. *)
+(* The cover is a function of the labels: every domain count gives the
+   same netlist, and it passes the full audit. *)
 let test_matrix_parallel_arena () =
   List.iter
     (fun (cname, net) ->
       let g = Subject.of_network net in
-      let a = Arena.of_subject g in
       List.iter
         (fun lib ->
           let db = Matchdb.prepare lib in
           List.iter
             (fun mode ->
-              let boxed = Mapper.map mode db g in
+              let name =
+                Printf.sprintf "%s/%s/%s" cname lib.Libraries.lib_name
+                  (Mapper.mode_name mode)
+              in
+              let seq = Mapper.map mode db g in
+              check tbool (name ^ " audit clean") true
+                (Check.audit_result ~rounds:4 g seq = []);
               List.iter
-                (fun cache ->
-                  let am = Arena_map.map ~cache ~subject:g mode db a in
-                  List.iter
-                    (fun jobs ->
-                      let name =
-                        Printf.sprintf "%s/%s/%s jobs=%d cache=%b" cname
-                          lib.Libraries.lib_name (Mapper.mode_name mode) jobs
-                          cache
-                      in
-                      let par, _ =
-                        Parmap.map_arena ~jobs ~cache ~subject:g mode db a
-                      in
-                      check_par_arena name am par;
-                      check tbool (name ^ " = boxed labels") true
-                        (par.Mapper.labels = boxed.Mapper.labels))
-                    [ 1; 2; 4 ])
-                [ true; false ])
-            modes)
+                (fun jobs ->
+                  let par = Mapper.map ~jobs mode db g in
+                  check tbool (Printf.sprintf "%s jobs=%d netlist" name jobs) true
+                    (same_netlist seq.Mapper.netlist par.Mapper.netlist))
+                [ 2; 4 ])
+            Oracle.modes)
         [ Libraries.lib44_1_like (); Libraries.lib2_like () ])
     [ ("ks16", Generators.kogge_stone_adder 16);
       ("mult4", Generators.array_multiplier 4) ]
 
 (* Without ~subject the arena converts back through to_subject; the
-   netlist must still be structurally identical. *)
+   result must be the one Mapper.map gives on the boxed graph. *)
 let test_map_without_subject () =
   let net = Generators.kogge_stone_adder 16 in
   let g = Subject.of_network net in
-  let a = Arena.of_network net in
   let db = Matchdb.prepare (Libraries.lib2_like ()) in
-  let seq = Mapper.map Mapper.Dag db g in
-  let am = Arena_map.map Mapper.Dag db a in
-  check_same_result "to_subject path" seq am;
+  let boxed = Mapper.map Mapper.Dag db g in
+  let am = Mapper.map_arena Mapper.Dag db (Arena.of_network net) in
+  check tbool "labels" true (boxed.Mapper.labels = am.Mapper.labels);
+  check tbool "netlist" true (same_netlist boxed.Mapper.netlist am.Mapper.netlist);
   check tbool "source round-trips" true
     (same_subject g am.Mapper.netlist.Netlist.source)
 
-(* Supergate-augmented library: the arena path must agree through the
-   bigger pattern space too. *)
+(* Supergate-augmented library: the bigger pattern space. *)
 let test_matrix_super () =
-  let base = Libraries.lib44_1_like () in
-  let bounds = { Superenum.default_bounds with max_pins = 4; max_size = 3 } in
-  let sgl, _ = Superlib.make ~bounds base in
-  let aug = Superlib.augment base sgl in
-  let db = Matchdb.prepare aug in
-  let net = Generators.kogge_stone_adder 16 in
-  let g = Subject.of_network net in
-  let a = Arena.of_subject g in
-  List.iter
-    (fun mode ->
-      List.iter
-        (fun cache ->
-          let name =
-            Printf.sprintf "super/%s cache=%b" (Mapper.mode_name mode) cache
-          in
-          let seq = Mapper.map ~cache mode db g in
-          let am = Arena_map.map ~cache ~subject:g mode db a in
-          check_same_result name seq am;
-          if mode = Mapper.Dag then
-            check tbool (name ^ " supergates actually used") true
-              (am.Mapper.run.Mapper.super_gates_used > 0);
-          (* The parallel arena labeler must agree through the bigger
-             supergate pattern space too. *)
-          List.iter
-            (fun jobs ->
-              let par, _ = Parmap.map_arena ~jobs ~cache ~subject:g mode db a in
-              check_par_arena (Printf.sprintf "%s jobs=%d" name jobs) am par)
-            [ 2; 4 ])
-        [ true; false ])
-    modes
+  let lib = Oracle.supergates () in
+  let g = Subject.of_network (Generators.kogge_stone_adder 16) in
+  Oracle.check_modes ~jobs:[ 1; 2; 4 ] ~name:"ks16/super" lib g;
+  let r = Mapper.map Mapper.Dag (Matchdb.prepare lib) g in
+  check tbool "supergates actually used" true
+    (r.Mapper.run.Mapper.super_gates_used > 0)
+
+let random_circuit seed =
+  Subject.of_network
+    (Generators.random_dag ~seed ~inputs:8 ~outputs:4 ~nodes:70 ())
 
 let qc_differential =
   QCheck.Test.make ~count:12
     ~name:"arena mapping = legacy mapping on random circuits (audited)"
     QCheck.(make ~print:string_of_int Gen.(int_bound 10_000))
     (fun seed ->
-      let net = Generators.random_dag ~seed ~inputs:8 ~outputs:4 ~nodes:70 () in
-      let g = Subject.of_network net in
-      let a = Arena.of_subject g in
-      let db = Matchdb.prepare (Libraries.lib2_like ()) in
+      let g = random_circuit seed in
+      let lib = Libraries.lib2_like () in
+      Oracle.check_modes ~name:(string_of_int seed) lib g;
+      let db = Matchdb.prepare lib in
       List.for_all
-        (fun mode ->
-          let seq = Mapper.map mode db g in
-          let am = Arena_map.map ~subject:g mode db a in
-          seq.Mapper.labels = am.Mapper.labels
-          && same_best seq.Mapper.best am.Mapper.best
-          && same_netlist seq.Mapper.netlist am.Mapper.netlist
-          && Check.audit_result ~rounds:4 g am = [])
-        modes)
+        (fun mode -> Check.audit_result ~rounds:4 g (Mapper.map mode db g) = [])
+        Oracle.modes)
 
-(* Three-way parity on random circuits: parallel-arena =
-   sequential-arena = boxed Mapper, across jobs x cache. *)
 let qc_parallel_arena =
   QCheck.Test.make ~count:8
     ~name:"parallel arena = sequential arena = boxed on random circuits"
     QCheck.(make ~print:string_of_int Gen.(int_bound 10_000))
     (fun seed ->
-      let net = Generators.random_dag ~seed ~inputs:8 ~outputs:4 ~nodes:70 () in
-      let g = Subject.of_network net in
-      let a = Arena.of_subject g in
-      let db = Matchdb.prepare (Libraries.lib2_like ()) in
-      List.for_all
-        (fun mode ->
-          let boxed = Mapper.map mode db g in
-          List.for_all
-            (fun cache ->
-              let am = Arena_map.map ~cache ~subject:g mode db a in
-              am.Mapper.labels = boxed.Mapper.labels
-              && List.for_all
-                   (fun jobs ->
-                     let par, _ =
-                       Parmap.map_arena ~jobs ~cache ~subject:g mode db a
-                     in
-                     par.Mapper.labels = am.Mapper.labels
-                     && same_best par.Mapper.best am.Mapper.best
-                     && same_netlist par.Mapper.netlist am.Mapper.netlist)
-                   [ 1; 2; 4 ])
-            [ true; false ])
-        modes)
+      Oracle.check_modes ~jobs:[ 2; 4 ] ~name:(string_of_int seed)
+        (Libraries.lib2_like ()) (random_circuit seed);
+      true)
 
-(* pi_arrival must flow through the arena labeler unchanged. *)
+(* pi_arrival must flow through the labeler unchanged. *)
 let test_pi_arrival () =
-  let net = Generators.carry_lookahead_adder 8 in
-  let g = Subject.of_network net in
-  let a = Arena.of_subject g in
-  let db = Matchdb.prepare (Libraries.lib44_1_like ()) in
-  let arr pi = float_of_int (pi mod 5) *. 0.7 in
-  let seq_labels, seq_best, seq_tried =
-    Mapper.label ~pi_arrival:arr Mapper.Dag db g
-  in
-  let labels, best, tried = Arena_map.label ~pi_arrival:arr Mapper.Dag db a in
-  let labels_arr =
-    Array.init (Bigarray.Array1.dim labels) (Bigarray.Array1.get labels)
-  in
-  check tbool "pi_arrival labels" true (seq_labels = labels_arr);
-  check tbool "pi_arrival best" true (same_best seq_best best);
-  check tbool "pi_arrival tried" true (seq_tried = tried)
+  let g = Subject.of_network (Generators.kogge_stone_adder 16) in
+  let lib = Libraries.lib2_like () in
+  let pi_arrival pi = float_of_int (pi mod 7) *. -0.3 in
+  List.iter
+    (fun mode ->
+      Oracle.check ~pi_arrival ~jobs:[ 1; 4 ] ~name:"ks16" mode
+        (Matchdb.prepare lib) g)
+    Oracle.modes
 
 let test_unmappable () =
   let inv_only =
@@ -497,7 +325,7 @@ let test_unmappable () =
   let a = Arena.Builder.finish b in
   let db = Matchdb.prepare inv_only in
   check tbool "Unmappable raises" true
-    (match Arena_map.label Mapper.Dag db a with
+    (match Mapper.label Mapper.Dag db a with
      | _ -> false
      | exception Mapper.Unmappable _ -> true)
 
@@ -515,19 +343,19 @@ let test_deep_chain_100k () =
   let a = Arena.of_network net in
   check tbool "arena = subject" true (same_arena a (Arena.of_subject g));
   check tint "chain depth" depth (Arena.depth a);
-  let _ = Arena.level_ranges a in
   let db = Matchdb.prepare (Libraries.minimal ()) in
-  let seq = Mapper.map Mapper.Dag db g in
-  let am = Arena_map.map ~subject:g Mapper.Dag db a in
-  check_same_result "chain100k" seq am;
+  let seq = Mapper.map_arena ~subject:g Mapper.Dag db a in
   check tbool "chain100k audit clean" true
-    (Check.audit_result ~rounds:2 g am = []);
+    (Check.audit_result ~rounds:2 g seq = []);
   (* Chunking stress: 100k levels of width ~1 through the parallel
      labeler — every level is below the fan-out threshold, so the
      whole sweep must run on the calling domain with zero cursor
      traffic, no recursion on the depth, and bit-identical output. *)
-  let par, stats = Parmap.map_arena ~jobs:4 ~subject:g Mapper.Dag db a in
-  check_par_arena "chain100k jobs=4" am par;
+  let par = Mapper.map_arena ~jobs:4 ~subject:g Mapper.Dag db a in
+  let stats = par.Mapper.par in
+  check tbool "chain100k jobs=4 labels" true (seq.Mapper.labels = par.Mapper.labels);
+  check tbool "chain100k jobs=4 netlist" true
+    (same_netlist seq.Mapper.netlist par.Mapper.netlist);
   check tint "chain100k no parallel levels" 0 stats.Parmap.parallel_levels;
   check tint "chain100k no chunks" 0 stats.Parmap.chunks;
   check tbool "chain100k one timing per level" true
@@ -542,9 +370,7 @@ let test_soc_end_to_end () =
   let a = Arena.of_network net in
   check tbool "soc arena = subject" true (same_arena a (Arena.of_subject g));
   let db = Matchdb.prepare (Libraries.lib2_like ()) in
-  let seq = Mapper.map Mapper.Dag db g in
-  let am = Arena_map.map ~subject:g Mapper.Dag db a in
-  check_same_result "soc60k" seq am;
+  let am = Mapper.map_arena ~subject:g Mapper.Dag db a in
   check tbool "soc60k audit clean" true
     (Check.audit_result ~rounds:2 g am = [])
 
@@ -558,25 +384,18 @@ let million_case name build =
       (Arena.num_nodes a >= 1_000_000);
     let g = Arena.to_subject a in
     let db = Matchdb.prepare (Libraries.minimal ()) in
-    let am = Arena_map.map ~subject:g Mapper.Dag db a in
-    (* Satellite contract: Check.lint + delay audit, no stack
-       overflow. (Functional sim is exercised at the 60k tier.) *)
-    check tbool (name ^ " structural") true
-      (Check.structural am.Mapper.netlist = []);
-    check tbool (name ^ " delay audit") true
-      (Check.delay ~predicted:(Mapper.predicted_arrivals am) am.Mapper.netlist
-       = []);
-    (* The 4-domain labeler must survive the same scale and agree
-       bit-for-bit, and its cover must pass the same audits. *)
-    let par, _ = Parmap.map_arena ~jobs:4 ~subject:g Mapper.Dag db a in
-    check_par_arena (name ^ " jobs=4") am par;
-    check tbool (name ^ " jobs=4 structural") true
-      (Check.structural par.Mapper.netlist = []);
-    check tbool (name ^ " jobs=4 delay audit") true
-      (Check.delay
-         ~predicted:(Mapper.predicted_arrivals par)
-         par.Mapper.netlist
-       = [])
+    List.iter
+      (fun jobs ->
+        let r = Mapper.map_arena ~jobs ~subject:g Mapper.Dag db a in
+        let tag = Printf.sprintf "%s jobs=%d" name jobs in
+        (* Check.lint + delay audit, no stack overflow. (Functional
+           sim is exercised at the 60k tier.) *)
+        check tbool (tag ^ " structural") true
+          (Check.structural r.Mapper.netlist = []);
+        check tbool (tag ^ " delay audit") true
+          (Check.delay ~predicted:(Mapper.predicted_arrivals r) r.Mapper.netlist
+           = []))
+      [ 1; 4 ]
   end
 
 let test_million_chain () =

@@ -113,9 +113,7 @@ let qc_audit_random =
       let g = Subject.of_network net in
       let db = Lazy.force the_db in
       let mode = List.nth modes mode_idx in
-      let r =
-        if par then fst (Parmap.map ~jobs:4 mode db g) else Mapper.map mode db g
-      in
+      let r = Mapper.map ~jobs:(if par then 4 else 1) mode db g in
       Check.audit_result ~rounds:4 ~seed:7 g r = [])
 
 let test_fuzz_clean () =
@@ -124,8 +122,8 @@ let test_fuzz_clean () =
   in
   let o = Fuzz.run cfg in
   check tint "circuits" 4 o.Fuzz.circuits;
-  (* 3 modes x jobs {1,4} x cache {on,off} per circuit. *)
-  check tint "cases" (4 * 12) o.Fuzz.cases;
+  (* 3 modes x jobs {1,4} per circuit. *)
+  check tint "cases" (4 * 6) o.Fuzz.cases;
   check tint "no failures" 0 (List.length o.Fuzz.failures)
 
 let test_fuzz_catches_injected_delay_bug () =
@@ -138,7 +136,6 @@ let test_fuzz_catches_injected_delay_bug () =
       count = 6;
       modes = [ Mapper.Tree ];
       jobs = [ 1 ];
-      caches = [ true ];
       max_failures = 1 }
   in
   let outcome =

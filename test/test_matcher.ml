@@ -202,8 +202,7 @@ let test_match_semantics () =
   in
   let g = Subject.of_network net in
   let fanouts = Subject.fanout_counts g in
-  let levels = Subject.levels g in
-  let db = Matchdb.prepare lib in
+  let rooting = Oracle.rooting lib in
   let n_pi = List.length (Subject.pi_ids g) in
   let checked = ref 0 in
   for node = 0 to Subject.num_nodes g - 1 do
@@ -235,7 +234,7 @@ let test_match_semantics () =
                 Alcotest.failf "match of %s at node %d is not functional"
                   gate.Gate.gate_name node
             done)
-          (Matchdb.node_matches db cls g ~fanouts ~levels node))
+          (Oracle.node_matches rooting cls g ~fanouts node))
       [ Matcher.Standard; Matcher.Extended; Matcher.Exact ]
   done;
   check tbool "checked many matches" true (!checked > 50)
@@ -248,14 +247,13 @@ let test_class_inclusion () =
   in
   let g = Subject.of_network net in
   let fanouts = Subject.fanout_counts g in
-  let levels = Subject.levels g in
-  let db = Matchdb.prepare (Libraries.lib2_like ()) in
+  let rooting = Oracle.rooting (Libraries.lib2_like ()) in
   let key m =
     ((Matcher.gate m).Gate.gate_name, Array.to_list m.Matcher.pins)
   in
   for node = 0 to Subject.num_nodes g - 1 do
     let of_class cls =
-      List.map key (Matchdb.node_matches db cls g ~fanouts ~levels node)
+      List.map key (Oracle.node_matches rooting cls g ~fanouts node)
     in
     let exact = of_class Matcher.Exact in
     let standard = of_class Matcher.Standard in

@@ -1,6 +1,7 @@
-(* Parallel labeling: bit-identical results across domain counts,
-   equivalence of the mapped netlist, stats sanity, and exception
-   propagation out of the worker pool. *)
+(* Parallel labeling: results equal to the reference DP for every
+   domain count, equivalence of the mapped netlist, stats sanity,
+   chunking policy, exception propagation out of the worker pool, and
+   the pool's service mode. *)
 
 open Dagmap_obs
 open Dagmap_genlib
@@ -13,80 +14,38 @@ let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
 
-let modes = [ Mapper.Tree; Mapper.Dag; Mapper.Dag_extended ]
 let jobs_list = [ 1; 2; 4 ]
 
-let libs () =
-  [ Libraries.minimal (); Libraries.lib44_1_like (); Libraries.lib2_like () ]
-
-(* Label arrays, best-match arrays and the covered netlist must be
-   bit-identical to the sequential mapper for every domain count. *)
-let same_best (b1 : Matcher.mtch option array) (b2 : Matcher.mtch option array) =
-  Array.length b1 = Array.length b2
-  && Array.for_all2
-       (fun m1 m2 ->
-         match m1, m2 with
-         | None, None -> true
-         | Some m1, Some m2 ->
-           m1.Matcher.pattern == m2.Matcher.pattern
-           && m1.Matcher.pins = m2.Matcher.pins
-           && m1.Matcher.covered = m2.Matcher.covered
-         | _ -> false)
-       b1 b2
-
-let check_identical name g db mode jobs =
-  let seq = Mapper.map mode db g in
-  let par, stats = Parmap.map ~jobs mode db g in
-  check tbool
-    (Printf.sprintf "%s/%s jobs=%d labels" name (Mapper.mode_name mode) jobs)
-    true
-    (seq.Mapper.labels = par.Mapper.labels);
-  check tbool
-    (Printf.sprintf "%s/%s jobs=%d best" name (Mapper.mode_name mode) jobs)
-    true
-    (same_best seq.Mapper.best par.Mapper.best);
-  check (Alcotest.float 0.0)
-    (Printf.sprintf "%s/%s jobs=%d delay" name (Mapper.mode_name mode) jobs)
-    (Mapper.optimal_delay seq) (Mapper.optimal_delay par);
-  check tint
-    (Printf.sprintf "%s/%s jobs=%d gates" name (Mapper.mode_name mode) jobs)
-    (Netlist.num_gates seq.Mapper.netlist)
-    (Netlist.num_gates par.Mapper.netlist);
-  check tint
-    (Printf.sprintf "%s/%s jobs=%d matches tried" name (Mapper.mode_name mode)
-       jobs)
-    seq.Mapper.run.Mapper.matches_tried par.Mapper.run.Mapper.matches_tried;
-  check tint
-    (Printf.sprintf "%s/%s jobs=%d domains" name (Mapper.mode_name mode) jobs)
-    jobs stats.Parmap.domains;
-  par
-
+(* Every domain count reproduces the reference DP's labels and best
+   gates, and does the same matcher work. *)
 let test_fixed_circuits () =
   List.iter
     (fun (cname, net) ->
       let g = Subject.of_network net in
       List.iter
         (fun lib ->
+          let name = Printf.sprintf "%s/%s" cname lib.Libraries.lib_name in
+          Oracle.check_modes ~jobs:jobs_list ~name lib g;
           let db = Matchdb.prepare lib in
+          let seq = Mapper.map Mapper.Dag db g in
           List.iter
-            (fun mode ->
-              List.iter
-                (fun jobs ->
-                  ignore
-                    (check_identical
-                       (Printf.sprintf "%s/%s" cname lib.Libraries.lib_name)
-                       g db mode jobs))
-                jobs_list)
-            modes)
-        (libs ()))
+            (fun jobs ->
+              let par = Mapper.map ~jobs Mapper.Dag db g in
+              check tint (Printf.sprintf "%s jobs=%d matches tried" name jobs)
+                seq.Mapper.run.Mapper.matches_tried
+                par.Mapper.run.Mapper.matches_tried;
+              check tint (Printf.sprintf "%s jobs=%d domains" name jobs) jobs
+                par.Mapper.par.Parmap.domains)
+            jobs_list)
+        [ Libraries.minimal (); Libraries.lib44_1_like (); Libraries.lib2_like () ])
     [ ("adder16", Generators.ripple_adder 16);
       ("ks16", Generators.kogge_stone_adder 16);
       ("cla16", Generators.carry_lookahead_adder 16);
       ("mult4", Generators.array_multiplier 4) ]
 
 (* QCheck: on random circuits, every domain count reproduces the
-   sequential result exactly, and the mapped netlist simulates
-   identically to the subject graph. *)
+   reference labels, and the mapped netlist simulates identically to
+   the subject graph. *)
 let qc_parallel_identical =
   QCheck.Test.make ~count:15 ~name:"parallel = sequential on random circuits"
     QCheck.(make ~print:string_of_int Gen.(int_bound 10_000))
@@ -96,44 +55,25 @@ let qc_parallel_identical =
       in
       let g = Subject.of_network net in
       let n_inputs = List.length (Subject.pi_ids g) in
-      let db = Matchdb.prepare (Libraries.lib2_like ()) in
+      let lib = Libraries.lib2_like () in
+      let db = Matchdb.prepare lib in
+      Oracle.check_modes ~jobs:jobs_list ~name:(string_of_int seed) lib g;
       List.for_all
         (fun mode ->
-          let seq = Mapper.map mode db g in
           List.for_all
             (fun jobs ->
-              let par, _ = Parmap.map ~jobs mode db g in
-              seq.Mapper.labels = par.Mapper.labels
-              && Mapper.optimal_delay seq = Mapper.optimal_delay par
-              && Equiv.is_equivalent
-                   (Equiv.compare_sims ~rounds:4 ~n_inputs
-                      (fun words -> Simulate.subject g words)
-                      (fun words -> Simulate.netlist par.Mapper.netlist words)))
+              let par = Mapper.map ~jobs mode db g in
+              Equiv.is_equivalent
+                (Equiv.compare_sims ~rounds:4 ~n_inputs
+                   (fun words -> Simulate.subject g words)
+                   (fun words -> Simulate.netlist par.Mapper.netlist words)))
             jobs_list)
-        modes)
-
-(* Cache-disabled parallel runs must agree too (caching and
-   parallelism are independent knobs). *)
-let test_no_cache_parallel () =
-  let g = Subject.of_network (Generators.kogge_stone_adder 16) in
-  let db = Matchdb.prepare (Libraries.lib2_like ()) in
-  let seq = Mapper.map ~cache:false Mapper.Dag db g in
-  List.iter
-    (fun jobs ->
-      let par, _ = Parmap.map ~jobs ~cache:false Mapper.Dag db g in
-      check tbool
-        (Printf.sprintf "no-cache jobs=%d labels" jobs)
-        true
-        (seq.Mapper.labels = par.Mapper.labels);
-      check tint
-        (Printf.sprintf "no-cache jobs=%d lookups" jobs)
-        0 par.Mapper.run.Mapper.cache_lookups)
-    jobs_list
+        Oracle.modes)
 
 let test_par_stats () =
   let g = Subject.of_network (Generators.array_multiplier 6) in
   let db = Matchdb.prepare (Libraries.lib2_like ()) in
-  let _, stats = Parmap.map ~jobs:2 Mapper.Dag db g in
+  let stats = (Mapper.map ~jobs:2 Mapper.Dag db g).Mapper.par in
   let levels = Subject.levels g in
   let depth = Array.fold_left max 0 levels in
   check tint "levels = depth + 1" (depth + 1) stats.Parmap.levels;
@@ -148,8 +88,8 @@ let test_par_stats () =
 
 (* Phase timers come from the shared monotonic clock. The stats must
    be non-negative and the recorded phases must account for the wall
-   time of the whole call — under 4 domains too, where the old
-   [Sys.time] process-CPU timers overstated phases by up to 4x. *)
+   time of the whole call — under 4 domains too, where process-CPU
+   timers would overstate phases by up to 4x. *)
 let test_stats_monotonic_timers () =
   let g = Subject.of_network (Generators.array_multiplier 6) in
   let db = Matchdb.prepare (Libraries.lib2_like ()) in
@@ -166,9 +106,8 @@ let test_stats_monotonic_timers () =
   in
   let seq, t_seq = Clock.time (fun () -> Mapper.map Mapper.Dag db g) in
   check_run "seq" t_seq seq.Mapper.run;
-  let (par, pstats), t_par =
-    Clock.time (fun () -> Parmap.map ~jobs:4 Mapper.Dag db g)
-  in
+  let par, t_par = Clock.time (fun () -> Mapper.map ~jobs:4 Mapper.Dag db g) in
+  let pstats = par.Mapper.par in
   check_run "jobs=4" t_par par.Mapper.run;
   check tbool "level sum within label time" true
     (Array.fold_left ( +. ) 0.0 pstats.Parmap.level_seconds
@@ -209,7 +148,8 @@ let test_chunking_small_levels () =
   let g = Subject.Builder.finish bld in
   let db = Matchdb.prepare (Libraries.minimal ()) in
   let seq = Mapper.map Mapper.Dag db g in
-  let par, stats = Parmap.map ~jobs:4 Mapper.Dag db g in
+  let par = Mapper.map ~jobs:4 Mapper.Dag db g in
+  let stats = par.Mapper.par in
   check tbool "small-level labels identical" true
     (seq.Mapper.labels = par.Mapper.labels);
   check tbool "width 20 < jobs * chunk_min" true (20 < 4 * Parmap.chunk_min);
@@ -223,7 +163,8 @@ let test_chunking_deep_chain () =
   let g = Subject.of_network (Generators.nand_chain 5000) in
   let db = Matchdb.prepare (Libraries.minimal ()) in
   let seq = Mapper.map Mapper.Dag db g in
-  let par, stats = Parmap.map ~jobs:4 Mapper.Dag db g in
+  let par = Mapper.map ~jobs:4 Mapper.Dag db g in
+  let stats = par.Mapper.par in
   check tbool "chain labels identical" true
     (seq.Mapper.labels = par.Mapper.labels);
   check tint "deep chain: no parallel levels" 0 stats.Parmap.parallel_levels;
@@ -238,7 +179,8 @@ let test_chunking_wide_levels () =
   let g = Subject.of_network (Generators.array_multiplier 8) in
   let db = Matchdb.prepare (Libraries.minimal ()) in
   let seq = Mapper.map Mapper.Dag db g in
-  let par, stats = Parmap.map ~jobs:2 Mapper.Dag db g in
+  let par = Mapper.map ~jobs:2 Mapper.Dag db g in
+  let stats = par.Mapper.par in
   check tbool "wide labels identical" true
     (seq.Mapper.labels = par.Mapper.labels);
   check tbool "wide levels do fan out" true (stats.Parmap.parallel_levels > 0);
@@ -249,22 +191,10 @@ let test_chunking_wide_levels () =
 (* pi_arrival flows through the parallel labeler unchanged. *)
 let test_pi_arrival () =
   let g = Subject.of_network (Generators.carry_lookahead_adder 8) in
-  let db = Matchdb.prepare (Libraries.lib44_1_like ()) in
-  let arr pi = float_of_int (pi mod 5) *. 0.7 in
-  let seq_labels, seq_best, _ = Mapper.label ~pi_arrival:arr Mapper.Dag db g in
-  List.iter
-    (fun jobs ->
-      let labels, best, _, _ =
-        Parmap.label ~jobs ~pi_arrival:arr Mapper.Dag db g
-      in
-      check tbool
-        (Printf.sprintf "pi_arrival jobs=%d labels" jobs)
-        true (seq_labels = labels);
-      check tbool
-        (Printf.sprintf "pi_arrival jobs=%d best" jobs)
-        true
-        (same_best seq_best best))
-    jobs_list
+  let lib = Libraries.lib44_1_like () in
+  let pi_arrival pi = float_of_int (pi mod 5) *. 0.7 in
+  Oracle.check ~pi_arrival ~jobs:jobs_list ~name:"cla8" Mapper.Dag
+    (Matchdb.prepare lib) g
 
 (* An Unmappable raised inside a worker domain must surface on the
    calling domain. The level is made wide enough (16 NANDs) that a
@@ -289,7 +219,7 @@ let test_unmappable_propagates () =
       check tbool
         (Printf.sprintf "unmappable raises, jobs=%d" jobs)
         true
-        (match Parmap.label ~jobs Mapper.Dag db g with
+        (match Mapper.label ~jobs Mapper.Dag db (Arena.of_subject g) with
          | _ -> false
          | exception Mapper.Unmappable _ -> true))
     [ 1; 2; 4 ]
@@ -360,8 +290,7 @@ let () =
     [ ( "identical",
         [ Alcotest.test_case "fixed circuits, jobs 1/2/4" `Quick
             test_fixed_circuits;
-          QCheck_alcotest.to_alcotest qc_parallel_identical;
-          Alcotest.test_case "cache off" `Quick test_no_cache_parallel ] );
+          QCheck_alcotest.to_alcotest qc_parallel_identical ] );
       ( "stats",
         [ Alcotest.test_case "par_stats shape" `Quick test_par_stats;
           Alcotest.test_case "monotonic phase timers" `Quick

@@ -41,12 +41,11 @@ let request_gen =
     let* payload = opt (int_range 0 Proto.max_payload) in
     let* lib = opt value_gen in
     let* mode = opt value_gen in
-    let* cache = bool in
     let* audit = bool in
     let* want_blif = bool in
     let* metrics = bool in
     let+ deadline_ms = opt (int_range 1 3_600_000) in
-    { Proto.verb; id; circuit; payload; lib; mode; cache; audit;
+    { Proto.verb; id; circuit; payload; lib; mode; audit;
       want_blif; metrics; deadline_ms })
 
 let qc_roundtrip =
@@ -305,6 +304,28 @@ let test_map_matches_local () =
   check tbool "stats served > 0" true (num_field "served" r > 0.0);
   Client.close c
 
+(* Clients from before the match cache was removed still send
+   [cache=0]: the key parses as an ignored unknown key and the map is
+   served exactly like one without it. *)
+let test_legacy_cache_key () =
+  check tbool "cache=0 parses to the default request" true
+    (Proto.parse_request "map circuit=rand:3 cache=0"
+     = Ok { (Proto.request Proto.Map) with Proto.circuit = Some "rand:3" });
+  with_server @@ fun sock _srv ->
+  let c = Client.connect sock in
+  Client.send_raw c "map circuit=rand:3 cache=0\n";
+  let legacy = Client.read_reply c in
+  check tstr "legacy map ok" "ok" (status legacy);
+  let plain =
+    Client.request c
+      { (Proto.request Proto.Map) with Proto.circuit = Some "rand:3" }
+  in
+  check (Alcotest.float 0.0) "same delay" (num_field "delay" plain)
+    (num_field "delay" legacy);
+  check (Alcotest.float 0.0) "same area" (num_field "area" plain)
+    (num_field "area" legacy);
+  Client.close c
+
 let test_server_side_circuit_and_blif_reply () =
   with_server @@ fun sock _srv ->
   let c = Client.connect sock in
@@ -433,6 +454,8 @@ let () =
       ( "semantics",
         [ Alcotest.test_case "map/check/sta match local mapper" `Quick
             test_map_matches_local;
+          Alcotest.test_case "legacy cache=0 request served" `Quick
+            test_legacy_cache_key;
           Alcotest.test_case "server-side circuits, blif replies" `Quick
             test_server_side_circuit_and_blif_reply ] );
       ( "lifecycle",

@@ -164,7 +164,7 @@ let test_parmap_agrees_on_augmented () =
   let seq = Mapper.map Mapper.Dag db g in
   List.iter
     (fun jobs ->
-      let par, _ = Parmap.map ~jobs Mapper.Dag db g in
+      let par = Mapper.map ~jobs Mapper.Dag db g in
       check tbool
         (Printf.sprintf "jobs=%d labels identical" jobs)
         true

@@ -610,6 +610,16 @@ let bench_row ?(extra = []) ~circuit ~library ~mode nl ~wall ~cpu () =
        ("peak_rss_bytes", Json.Int (Resource.peak_rss_bytes ())) ]
     @ extra)
 
+(* The cut engine's job-count parity gate: two runs of one circuit
+   agree on labels, matcher work, delay and area. *)
+let same_cut_result (a : Dagmap_cutmap.Cut_mapper.result)
+    (b : Dagmap_cutmap.Cut_mapper.result) =
+  let open Dagmap_cutmap.Cut_mapper in
+  a.labels = b.labels
+  && a.matches_evaluated = b.matches_evaluated
+  && Netlist.delay a.netlist = Netlist.delay b.netlist
+  && Netlist.area a.netlist = Netlist.area b.netlist
+
 let run_json quick out_file =
   let open Dagmap_super in
   Metrics.reset_all ();
@@ -688,9 +698,9 @@ let run_json quick out_file =
   in
   (* Cut-mapper section: priority pruning vs full enumeration
      (matcher work saved), delay delta vs the structural DAG
-     reference, and boxed/arena-parallel parity. The parity bit is a
-     hard gate — the run exits nonzero if the arena enumerator ever
-     diverges from the boxed cut mapper. *)
+     reference, and jobs=1/jobs=4 parity. The parity bit is a hard
+     gate — the run exits nonzero if the parallel sweep ever diverges
+     from the sequential one. *)
   let cuts_ok = ref true in
   let cuts_rows =
     List.map
@@ -704,19 +714,12 @@ let run_json quick out_file =
           Clock.time (fun () ->
               Dagmap_cutmap.Cut_mapper.map ~priority:1_000_000 bdb g)
         in
-        let a = Arena.of_subject g in
         let rar, _ =
-          Dagmap_cutmap.Arena_cuts.map ~jobs:4 ~priority:8 ~subject:g bdb a
+          Dagmap_cutmap.Cut_mapper.map_arena ~jobs:4 ~priority:8 ~subject:g
+            bdb (Arena.of_subject g)
         in
         let open Dagmap_cutmap in
-        let identical =
-          rar.Cut_mapper.labels = r8.Cut_mapper.labels
-          && rar.Cut_mapper.matches_evaluated = r8.Cut_mapper.matches_evaluated
-          && Netlist.delay rar.Cut_mapper.netlist
-             = Netlist.delay r8.Cut_mapper.netlist
-          && Netlist.area rar.Cut_mapper.netlist
-             = Netlist.area r8.Cut_mapper.netlist
-        in
+        let identical = same_cut_result rar r8 in
         if not identical then cuts_ok := false;
         let d8 = Netlist.delay r8.Cut_mapper.netlist in
         let dfull = Netlist.delay rfull.Cut_mapper.netlist in
@@ -758,7 +761,7 @@ let run_json quick out_file =
   close_out oc;
   Printf.printf "wrote %s (%d rows)\n" path (List.length !rows);
   if not !cuts_ok then begin
-    Printf.printf "FAIL: arena cut mapper diverged from the boxed mapper\n";
+    Printf.printf "FAIL: the cut mapper at jobs=4 diverged from jobs=1\n";
     exit 1
   end
 
@@ -867,21 +870,15 @@ let run_json_huge nodes jobs out_file =
   let bdb = Matchdb.boolean db in
   let (rc, _), cut_wall, cut_cpu =
     Clock.time_wall_cpu (fun () ->
-        Dagmap_cutmap.Arena_cuts.map ~jobs:1 ~priority:8 ~subject:g bdb arena)
+        Dagmap_cutmap.Cut_mapper.map_arena ~jobs:1 ~priority:8 ~subject:g bdb
+          arena)
   in
   let (rcp, cut_par_stats), cut_par_wall =
     Clock.time (fun () ->
-        Dagmap_cutmap.Arena_cuts.map ~jobs ~priority:8 ~subject:g bdb arena)
+        Dagmap_cutmap.Cut_mapper.map_arena ~jobs ~priority:8 ~subject:g bdb
+          arena)
   in
-  let cut_identical =
-    rcp.Dagmap_cutmap.Cut_mapper.labels = rc.Dagmap_cutmap.Cut_mapper.labels
-    && rcp.Dagmap_cutmap.Cut_mapper.matches_evaluated
-       = rc.Dagmap_cutmap.Cut_mapper.matches_evaluated
-    && Netlist.delay rcp.Dagmap_cutmap.Cut_mapper.netlist
-       = Netlist.delay rc.Dagmap_cutmap.Cut_mapper.netlist
-    && Netlist.area rcp.Dagmap_cutmap.Cut_mapper.netlist
-       = Netlist.area rc.Dagmap_cutmap.Cut_mapper.netlist
-  in
+  let cut_identical = same_cut_result rcp rc in
   let cut_clean =
     Check.structural rc.Dagmap_cutmap.Cut_mapper.netlist = []
     && Check.delay
@@ -1058,7 +1055,7 @@ let run_compare_json new_file base_file =
      cut engine is a pruned heuristic whose budget defaults can move
      between snapshots, so its delay is printed for the reader rather
      than gated. (Within one snapshot, generation already hard-gates
-     arena/boxed parity.) *)
+     sequential/parallel parity.) *)
   let cut_delays doc =
     match Json.member "cuts" doc with
     | None -> []

@@ -72,12 +72,36 @@ let load_circuit ?(stream = false) spec =
                soc:<n>[:seed], not a file)"
               spec))
 
+(* Every subject node is an INV or a NAND2 of other nodes, so a
+   library that cannot cover those two bare shapes leaves some node
+   unmappable. The built-in libraries all can; a genlib file is
+   checked here, on the one path every command loads it through. *)
+let covers_inv_and_nand2 lib =
+  let b = Subject.Builder.create () in
+  let x = Subject.Builder.pi b "x" and y = Subject.Builder.pi b "y" in
+  Subject.Builder.output b "inv" (Subject.Builder.inv b x);
+  Subject.Builder.output b "nand2" (Subject.Builder.nand b x y);
+  let g = Subject.Builder.finish b in
+  match Mapper.map Mapper.Dag (Matchdb.prepare lib) g with
+  | _ -> true
+  | exception Mapper.Unmappable _ -> false
+
 let load_library spec =
   match Libraries.by_name spec with
   | Some lib -> lib
   | None ->
-    if Sys.file_exists spec then
-      Libraries.make (Filename.basename spec) (Genlib_parser.parse_file spec)
+    if Sys.file_exists spec then begin
+      let lib =
+        Libraries.make (Filename.basename spec) (Genlib_parser.parse_file spec)
+      in
+      if not (covers_inv_and_nand2 lib) then
+        failwith
+          (Printf.sprintf
+             "library %s cannot cover a bare INV and NAND2 (it needs an \
+              inverter and a 2-input NAND)"
+             spec);
+      lib
+    end
     else
       failwith
         (Printf.sprintf "unknown library %S (try %s, or a genlib file)" spec
@@ -102,6 +126,18 @@ let mode_of_string = function
 (* map                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+let print_par_stats (p : Parmap.par_stats) =
+  Printf.printf "stats: %d domains, %d levels (widest %d nodes)\n"
+    p.Parmap.domains p.Parmap.levels p.Parmap.widest_level;
+  Printf.printf "stats: %d levels ran parallel, %d work-steal chunks claimed\n"
+    p.Parmap.parallel_levels p.Parmap.chunks;
+  let t = p.Parmap.level_seconds in
+  let slowest = ref 0 in
+  Array.iteri (fun i dt -> if dt > t.(!slowest) then slowest := i) t;
+  Printf.printf "stats: slowest level %d at %.4fs of %.4fs total sweep time\n"
+    !slowest t.(!slowest)
+    (Array.fold_left ( +. ) 0.0 t)
+
 let print_mapper_stats (run : Mapper.stats) (par : Parmap.par_stats option) =
   Printf.printf
     "stats: label %.3fs, cover %.3fs, %d matches tried, %d patterns tried\n"
@@ -111,24 +147,7 @@ let print_mapper_stats (run : Mapper.stats) (par : Parmap.par_stats option) =
     Printf.printf
       "stats: supergates: %d matches tried, %d instances in cover\n"
       run.Mapper.super_matches_tried run.Mapper.super_gates_used;
-  match par with
-  | None -> ()
-  | Some p ->
-    Printf.printf "stats: %d domains, %d levels (widest %d nodes)\n"
-      p.Parmap.domains p.Parmap.levels p.Parmap.widest_level;
-    Printf.printf
-      "stats: %d levels ran parallel, %d work-steal chunks claimed\n"
-      p.Parmap.parallel_levels p.Parmap.chunks;
-    let slowest = ref 0 in
-    Array.iteri
-      (fun i dt ->
-        if dt > p.Parmap.level_seconds.(!slowest) then slowest := i;
-        ignore dt)
-      p.Parmap.level_seconds;
-    Printf.printf "stats: slowest level %d at %.4fs of %.4fs total label time\n"
-      !slowest
-      p.Parmap.level_seconds.(!slowest)
-      (Array.fold_left ( +. ) 0.0 p.Parmap.level_seconds)
+  Option.iter print_par_stats par
 
 (* Cut-mode per-node budget the CLI defaults to: on one core the
    wall-clock cost is linear in the budget, and 8 priority cuts per
@@ -204,37 +223,25 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
   let jobs = resolve_jobs jobs in
   let t0 = Clock.now () in
   let mode_name, nl, pattern_result, par_stats =
+    let a = Arena.of_subject sg in
+    if arena then Printf.printf "%s\n" (Arena.stats a);
     match mode with
     | Pattern_mode m ->
-      let a = Arena.of_subject sg in
-      if arena then Printf.printf "%s\n" (Arena.stats a);
       let result = Mapper.map_arena ~jobs ~subject:sg m db a in
       ( Mapper.mode_name m,
         result.Mapper.netlist,
         Some (m, result),
         if jobs > 1 then Some result.Mapper.par else None )
     | Cut_mode ->
-      if jobs > 1 && not arena then
-        failwith
-          "--jobs with --mode cut needs --arena (the boxed cut mapper is \
-           sequential; the arena enumerator parallelizes level slices)";
-      let bdb = Matchdb.boolean db in
       let r, par =
-        if arena then begin
-          let a = Arena.of_subject sg in
-          Printf.printf "%s\n" (Arena.stats a);
-          let r, par =
-            Dagmap_cutmap.Arena_cuts.map ~jobs ~priority ~subject:sg bdb a
-          in
-          (r, Some par)
-        end
-        else (Dagmap_cutmap.Cut_mapper.map ~priority bdb sg, None)
+        Dagmap_cutmap.Cut_mapper.map_arena ~jobs ~priority ~subject:sg
+          (Matchdb.boolean db) a
       in
       Printf.printf
         "cut: %d priority cuts/node, %d nodes matched, %d matches evaluated\n"
         priority r.Dagmap_cutmap.Cut_mapper.matched_nodes
         r.Dagmap_cutmap.Cut_mapper.matches_evaluated;
-      ("cut", r.Dagmap_cutmap.Cut_mapper.netlist, None, par)
+      ("cut", r.Dagmap_cutmap.Cut_mapper.netlist, None, Some par)
   in
   let dt = Clock.now () -. t0 in
   (match trace_out with
@@ -269,17 +276,7 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
     match pattern_result with
     | Some (_, result) ->
       print_mapper_stats result.Mapper.run par_stats
-    | None -> begin
-      match par_stats with
-      | Some p ->
-        Printf.printf "stats: %d domains, %d levels (widest %d nodes)\n"
-          p.Parmap.domains p.Parmap.levels p.Parmap.widest_level;
-        Printf.printf
-          "stats: %d levels ran parallel, %d work-steal chunks claimed\n"
-          p.Parmap.parallel_levels p.Parmap.chunks
-      | None ->
-        Printf.printf "stats: sequential cut mapping (no labeler stats)\n"
-    end
+    | None -> Option.iter print_par_stats par_stats
   end;
   let nl =
     match recover, pattern_result with
@@ -361,13 +358,10 @@ let run_check circuit lib_spec super_file mode_s jobs =
         result.Mapper.netlist,
         Mapper.predicted_arrivals result )
     | Cut_mode ->
-      let bdb = Matchdb.boolean db in
-      let r =
-        if jobs > 1 then
-          fst
-            (Dagmap_cutmap.Arena_cuts.map ~jobs ~priority:default_cut_priority
-               ~subject:sg bdb (Arena.of_subject sg))
-        else Dagmap_cutmap.Cut_mapper.map ~priority:default_cut_priority bdb sg
+      let r, _ =
+        Dagmap_cutmap.Cut_mapper.map_arena ~jobs
+          ~priority:default_cut_priority ~subject:sg (Matchdb.boolean db)
+          (Arena.of_subject sg)
       in
       ( "cut",
         r.Dagmap_cutmap.Cut_mapper.netlist,
@@ -816,6 +810,8 @@ let wrap f =
   | Dagmap_blif.Blif.Parse_error _ as e ->
     `Error (false, Dagmap_blif.Blif.describe e)
   | Superlib.Format_error m -> `Error (false, m)
+  | Mapper.Unmappable { description; _ } ->
+    `Error (false, "unmappable: " ^ description)
   | Sys_error m -> `Error (false, m)
 
 let map_cmd =
@@ -913,9 +909,7 @@ let map_cmd =
       value & flag
       & info [ "arena" ]
           ~doc:
-            "Print the flat arena's statistics; with $(b,--mode cut), run \
-             the arena cut enumerator (which $(b,--jobs) N needs) instead \
-             of the boxed cut mapper. Pattern modes always label on the \
+            "Print the flat arena's statistics. Every mode maps on the \
              arena.")
   in
   let stream =

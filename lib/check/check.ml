@@ -70,6 +70,21 @@ let structural nl =
           report "instance %d (%s) is dangling: no instance or output uses it"
             i nl.Netlist.instances.(i).Netlist.gate.Dagmap_genlib.Gate.gate_name)
       used;
+    (* No cover contains a primary input: a structural match covers
+       only the gate nodes its pattern binds, and a cut instance only
+       nodes above its leaves. *)
+    let src = nl.Netlist.source in
+    Array.iter
+      (fun inst ->
+        Array.iter
+          (fun v ->
+            if v >= 0 && v < Subject.num_nodes src
+               && Subject.kind src v = Subject.Spi
+            then
+              report "instance %d covers primary input %d"
+                inst.Netlist.inst_id v)
+          inst.Netlist.covers)
+      nl.Netlist.instances;
     let seen = Hashtbl.create 16 in
     List.iter
       (fun (name, _) ->

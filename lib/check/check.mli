@@ -33,8 +33,9 @@ val structural : Netlist.t -> issue list
 (** Structural lint. Extends {!Netlist.lint} (pin arity, driver
     ranges, acyclicity) with cover-level checks: no two instances
     implement the same subject node, every instance's [subject_root]
-    is among its covered nodes, every instance is reachable from some
-    output (no dangling logic), and output names are unique. *)
+    is among its covered nodes, no instance covers a primary input,
+    every instance is reachable from some output (no dangling logic),
+    and output names are unique. *)
 
 val delay :
   ?epsilon:float ->

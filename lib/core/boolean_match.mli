@@ -15,8 +15,8 @@
     them exactly like primitive cells, fused delays and all
     ({!num_super_entries} reports how many made it in). The prepared
     index is shared with the structural side through
-    {!Matchdb.boolean}: one table per library serves the boxed cut
-    mapper, the arena cut enumerator and every bench/CLI consumer.
+    {!Matchdb.boolean}: one table per library serves the cut mapper
+    and every bench/CLI consumer.
 
     Scope: permutation (P) equivalence only. Input negations are not
     absorbed into matches (they would need inverters on the wires);

@@ -173,23 +173,17 @@ let label_node cls db a ~fanouts ~levels ~labels ~best node =
                 (Matcher.class_name cls) node }));
   (!tried, !super_tried, patterns)
 
-(* The level sweep. A node's label depends only on nodes at strictly
-   smaller levels, so each level of [Arena.level_ranges] is an
-   independent front. With [jobs > 1] a wide level is fanned across a
-   domain pool (work-stealing dense slices of the order array); every
-   other level, and every level at [jobs = 1], runs on the calling
-   domain. Scheduling only changes who computes a label, never its
-   value: each node is written by exactly one worker and the level
-   barrier publishes lower levels before anyone reads them, so labels
-   and best matches are bit-identical for every [jobs]. *)
+(* One labeling pass over {!Parmap.sweep}. Scheduling only changes
+   who computes a label, never its value: each node is written by
+   exactly one worker and the level barrier publishes lower levels
+   before anyone reads them, so labels and best matches are
+   bit-identical for every [jobs]. *)
 let label ?(jobs = 1) ?(pi_arrival = fun _ -> 0.0) mode db a =
   let jobs = max 1 jobs in
   let cls = mode_class mode in
   let n = Arena.num_nodes a in
   let fanouts = Arena.fanout_counts a in
   let levels = Arena.levels a in
-  let order, starts = Arena.level_ranges a in
-  let num_levels = Array.length starts - 1 in
   let labels = Array.make n 0.0 in
   let best : Matcher.mtch option array = Array.make n None in
   (* Per-worker counters; the totals are deterministic (sums over
@@ -197,73 +191,20 @@ let label ?(jobs = 1) ?(pi_arrival = fun _ -> 0.0) mode db a =
   let tried = Array.make jobs 0 in
   let super_tried = Array.make jobs 0 in
   let patterns_tried = Array.make jobs 0 in
-  let level_seconds = Array.make num_levels 0.0 in
-  let level_hist = Metrics.histogram "parmap.level_seconds" in
-  let parallel_levels = ref 0 in
-  let chunks_claimed = Atomic.make 0 in
-  let failure : exn option Atomic.t = Atomic.make None in
   let f0 = a.Arena.fanin0 in
-  let process worker node =
-    if fanin f0 node < 0 then labels.(node) <- pi_arrival node
-    else begin
-      let t, st, pt =
-        label_node cls db a ~fanouts ~levels ~labels ~best node
-      in
-      tried.(worker) <- tried.(worker) + t;
-      super_tried.(worker) <- super_tried.(worker) + st;
-      patterns_tried.(worker) <- patterns_tried.(worker) + pt
-    end
-  in
-  let pool = if jobs > 1 then Some (Parmap.make_pool (jobs - 1)) else None in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Parmap.shutdown_pool pool)
-    (fun () ->
-      let run_level li =
-        let t0 = Clock.now () in
-        let lo = starts.(li) and hi = starts.(li + 1) in
-        (match pool with
-         | Some pool when hi - lo >= Parmap.fanout_threshold jobs ->
-           incr parallel_levels;
-           let cursor = Atomic.make lo in
-           let chunk = Parmap.chunk_for ~jobs (hi - lo) in
-           Parmap.run_pool pool (fun w ->
-               try
-                 Parmap.steal_chunks ~cursor ~chunks_claimed ~chunk ~hi
-                   (fun i -> process w order.(i))
-               with e ->
-                 ignore (Atomic.compare_and_set failure None (Some e)));
-           Option.iter raise (Atomic.get failure)
-         | _ ->
-           for i = lo to hi - 1 do
-             process (jobs - 1) order.(i)
-           done);
-        let dt = Clock.now () -. t0 in
-        level_seconds.(li) <- dt;
-        Metrics.Histogram.observe level_hist dt
-      in
-      for li = 0 to num_levels - 1 do
-        if Span.is_enabled () then
-          Span.with_span ~cat:"mapper"
-            (Printf.sprintf "level %d (%d nodes)" li
-               (starts.(li + 1) - starts.(li)))
-            (fun () -> run_level li)
-        else run_level li
-      done);
-  let sum = Array.fold_left ( + ) 0 in
-  let widest_level = ref 0 in
-  for l = 0 to num_levels - 1 do
-    widest_level := max !widest_level (starts.(l + 1) - starts.(l))
-  done;
-  Metrics.Counter.add (Metrics.counter "parmap.chunks") (Atomic.get chunks_claimed);
-  Metrics.Counter.add (Metrics.counter "parmap.parallel_levels") !parallel_levels;
   let par =
-    { Parmap.domains = jobs;
-      levels = num_levels;
-      widest_level = !widest_level;
-      level_seconds;
-      parallel_levels = !parallel_levels;
-      chunks = Atomic.get chunks_claimed }
+    Parmap.sweep ~jobs a (fun worker node ->
+        if fanin f0 node < 0 then labels.(node) <- pi_arrival node
+        else begin
+          let t, st, pt =
+            label_node cls db a ~fanouts ~levels ~labels ~best node
+          in
+          tried.(worker) <- tried.(worker) + t;
+          super_tried.(worker) <- super_tried.(worker) + st;
+          patterns_tried.(worker) <- patterns_tried.(worker) + pt
+        end)
   in
+  let sum = Array.fold_left ( + ) 0 in
   (labels, best, (sum tried, sum super_tried, sum patterns_tried), par)
 
 (* ------------------------------------------------------------------ *)

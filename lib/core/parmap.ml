@@ -1,12 +1,13 @@
 open Dagmap_obs
 
-(* The domain pool and scheduling policy behind every level-parallel
-   sweep: the labeling DP in Mapper, the arena cut enumerator and
-   supergate enumeration. A node's label depends only on nodes at
-   strictly smaller levels, so a level is a front of independent work;
-   a sweep fans each wide level across the pool through [steal_chunks]
-   and waits at a barrier before the next. Determinism comes from the
-   dependency structure, not the schedule. *)
+(* The domain pool and the one level sweep. The labeling DP in Mapper
+   and the priority-cut engine both run [sweep]; supergate enumeration
+   uses the pool's barrier directly and the daemon its service mode. A
+   node's label depends only on nodes at strictly smaller levels, so a
+   level is a front of independent work; the sweep fans each wide
+   level across the pool with work-stealing chunks and waits at a
+   barrier before the next. Determinism comes from the dependency
+   structure, not the schedule. *)
 
 type par_stats = {
   domains : int;
@@ -27,9 +28,7 @@ let recommended_jobs () = Domain.recommended_domain_count ()
    would drown the matching work in spawn latency. The pool keeps
    [size] worker domains alive for the whole sweep and releases each
    level through a generation counter + condition variable; the
-   caller doubles as the last worker. Tasks must not raise (the
-   labeler traps exceptions into an Atomic and re-raises after the
-   barrier). *)
+   caller doubles as the last worker. *)
 type pool = {
   size : int;                        (* worker domains, caller excluded *)
   mutex : Mutex.t;
@@ -118,8 +117,15 @@ let make_pool size =
   pool
 
 (* Run [task w] on every worker (w in 0..size-1) and on the caller
-   (w = size); returns when all have finished. *)
+   (w = size); returns when all have finished. A raising task must not
+   take its worker domain down or leave the barrier waiting, so each
+   task runs under a trap; the first exception is re-raised here once
+   every task has returned. *)
 let run_pool pool task =
+  let failure = Atomic.make None in
+  let task w =
+    try task w with e -> ignore (Atomic.compare_and_set failure None (Some e))
+  in
   Mutex.lock pool.mutex;
   pool.task <- Some task;
   pool.generation <- pool.generation + 1;
@@ -131,7 +137,8 @@ let run_pool pool task =
   while pool.active > 0 do
     Condition.wait pool.finished pool.mutex
   done;
-  Mutex.unlock pool.mutex
+  Mutex.unlock pool.mutex;
+  Option.iter raise (Atomic.get failure)
 
 let pool_size pool = pool.size
 
@@ -199,7 +206,7 @@ let shutdown_pool pool =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Level-parallel scheduling policy                                    *)
+(* The level sweep                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Work-stealing granularity. A worker claims [chunk] consecutive
@@ -211,29 +218,73 @@ let shutdown_pool pool =
    8))], which degenerates to 1 for any level under 8 * jobs nodes). *)
 let chunk_min = 8
 
-(* Below this many nodes a level is labeled on the calling domain:
+(* A level under [jobs * chunk_min] nodes runs on the calling domain:
    there is less than one minimum-size chunk per worker, so the
-   barrier plus cursor traffic costs more than the matching it would
-   parallelize. Scheduling only changes who computes a label, never
-   its value, so the threshold is free to move without perturbing
-   bit-identity. *)
-let fanout_threshold jobs = jobs * chunk_min
-
-let chunk_for ~jobs len = max chunk_min (len / (jobs * 8))
-
-(* Claim dense [chunk]-sized slices of positions below [hi] through
-   [cursor] (pre-set to the first position) and apply [f] to each
-   claimed position. *)
-let steal_chunks ~cursor ~chunks_claimed ~chunk ~hi f =
-  let rec loop () =
-    let start = Atomic.fetch_and_add cursor chunk in
-    if start < hi then begin
-      ignore (Atomic.fetch_and_add chunks_claimed 1);
-      let stop = min hi (start + chunk) - 1 in
-      for i = start to stop do
-        f i
-      done;
-      loop ()
-    end
+   barrier plus cursor traffic costs more than the work it would
+   parallelize. Scheduling only changes who visits a node, never what
+   the visit computes, so the threshold is free to move without
+   perturbing bit-identity. *)
+let sweep ?(jobs = 1) a f =
+  let jobs = max 1 jobs in
+  let order, starts = Arena.level_ranges a in
+  let num_levels = Array.length starts - 1 in
+  let level_seconds = Array.make num_levels 0.0 in
+  let level_hist = Metrics.histogram "parmap.level_seconds" in
+  let parallel_levels = ref 0 in
+  let chunks_claimed = Atomic.make 0 in
+  let run_level pool lo hi =
+    match pool with
+    | Some pool when hi - lo >= jobs * chunk_min ->
+      incr parallel_levels;
+      (* Workers claim dense [chunk]-sized slices of the level through
+         one atomic cursor. *)
+      let cursor = Atomic.make lo in
+      let chunk = max chunk_min ((hi - lo) / (jobs * 8)) in
+      run_pool pool (fun w ->
+          let rec claim () =
+            let start = Atomic.fetch_and_add cursor chunk in
+            if start < hi then begin
+              Atomic.incr chunks_claimed;
+              for i = start to min hi (start + chunk) - 1 do
+                f w order.(i)
+              done;
+              claim ()
+            end
+          in
+          claim ())
+    | _ ->
+      for i = lo to hi - 1 do
+        f (jobs - 1) order.(i)
+      done
   in
-  loop ()
+  let pool = if jobs > 1 then Some (make_pool (jobs - 1)) else None in
+  Fun.protect
+    ~finally:(fun () -> Option.iter shutdown_pool pool)
+    (fun () ->
+      for li = 0 to num_levels - 1 do
+        let lo = starts.(li) and hi = starts.(li + 1) in
+        let t0 = Clock.now () in
+        if Span.is_enabled () then
+          Span.with_span ~cat:"parmap"
+            (Printf.sprintf "level %d (%d nodes)" li (hi - lo))
+            (fun () -> run_level pool lo hi)
+        else run_level pool lo hi;
+        let dt = Clock.now () -. t0 in
+        level_seconds.(li) <- dt;
+        Metrics.Histogram.observe level_hist dt
+      done);
+  let widest_level = ref 0 in
+  for li = 0 to num_levels - 1 do
+    widest_level := max !widest_level (starts.(li + 1) - starts.(li))
+  done;
+  let chunks = Atomic.get chunks_claimed in
+  Metrics.Counter.add (Metrics.counter "parmap.chunks") chunks;
+  Metrics.Counter.add
+    (Metrics.counter "parmap.parallel_levels")
+    !parallel_levels;
+  { domains = jobs;
+    levels = num_levels;
+    widest_level = !widest_level;
+    level_seconds;
+    parallel_levels = !parallel_levels;
+    chunks }

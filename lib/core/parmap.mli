@@ -1,13 +1,13 @@
-(** The OCaml 5 domain pool and the scheduling policy of every
-    level-parallel sweep.
+(** The OCaml 5 domain pool and the one level sweep.
 
     A node's optimal label depends only on nodes at strictly smaller
     {!Arena.levels}, so each topological level is an independent
-    front: a sweep runs level by level, fanning the nodes of a wide
-    level across the pool with work-stealing chunks and a barrier
-    between levels. The labeling DP ({!Mapper.label}), the arena cut
-    enumerator and supergate enumeration all use it; the daemon uses
-    the pool's service mode. *)
+    front. {!sweep} visits an arena level by level, fans the nodes of
+    a wide level across the pool with work-stealing chunks, and waits
+    at a barrier between levels. The labeling DP ({!Mapper.label}) and
+    the priority-cut engine ([Cut_mapper.map_arena]) both call it and
+    own no scheduling code. Supergate enumeration uses the pool's
+    barrier directly; the daemon uses the pool's service mode. *)
 
 type par_stats = {
   domains : int;            (** domains actually used (>= 1) *)
@@ -29,50 +29,41 @@ val recommended_jobs : unit -> int
 val chunk_min : int
 (** Minimum work-stealing chunk: a worker never claims fewer than
     this many nodes per trip through the atomic cursor, and a level
-    under [jobs * chunk_min] nodes is labeled on the calling domain
-    instead of fanning out (one contended fetch_and_add per node
-    costs more than the matching it schedules). Exported so the
-    scheduling regression tests can state their bounds in terms of
-    the real policy. *)
+    under [jobs * chunk_min] nodes runs on the calling domain instead
+    of fanning out (one contended fetch_and_add per node costs more
+    than the matching it schedules). Exported so the scheduling
+    regression tests can state their bounds in terms of the real
+    policy. *)
 
-val fanout_threshold : int -> int
-(** [fanout_threshold jobs = jobs * chunk_min]: below this many nodes
-    a level runs on the calling domain. Exported so other
-    level-synchronous sweeps (the arena cut enumerator) apply the
-    same fall-back policy. *)
+val sweep : ?jobs:int -> Arena.t -> (int -> int -> unit) -> par_stats
+(** [sweep ?jobs a f] calls [f worker node] exactly once for every
+    node of [a], in the order of {!Arena.level_ranges}, finishing
+    each level before starting the next. [worker] is in
+    [0 .. jobs - 1] and identifies the calling domain, so [f] may
+    keep per-worker accumulators; a level that runs on the calling
+    domain uses [jobs - 1]. [jobs] (default 1) is clamped to >= 1;
+    with [jobs > 1] the sweep owns a pool for its duration.
 
-val chunk_for : jobs:int -> int -> int
-(** Chunk size for a level of the given width, floored at
-    {!chunk_min}. *)
+    Calls within one level may run concurrently, so [f] must write
+    only state owned by [node] and read only state of lower levels.
+    If [f] raises, the sweep stops and re-raises the first exception;
+    a fanned-out level finishes its other chunks first.
 
-val steal_chunks :
-  cursor:int Atomic.t ->
-  chunks_claimed:int Atomic.t ->
-  chunk:int ->
-  hi:int ->
-  (int -> unit) ->
-  unit
-(** Claim dense [chunk]-sized slices of positions below [hi] through
-    [cursor] (pre-set by the caller to the first position) and apply
-    the callback to each claimed position — the work-stealing
-    protocol shared by every level-parallel sweep (labeler, arena cut
-    enumerator). Callbacks must not raise; trap exceptions into an
-    [Atomic.t] and re-raise after the barrier, as {!Mapper.label}
-    does. *)
+    The sweep records one span per level (when tracing), the
+    [parmap.level_seconds] histogram and the [parmap.chunks] and
+    [parmap.parallel_levels] counters. *)
 
 (** {1 Persistent domain pool}
 
-    The pool that backs the level sweep, exported for other
-    fan-out/barrier workloads (supergate enumeration uses it) and, in
-    service mode, for the [techmapd] request scheduler. A pool of
+    The pool that backs {!sweep}, exported for other fan-out/barrier
+    workloads (supergate enumeration uses it) and, in service mode,
+    for the [techmapd] request scheduler. A pool of
     size [s] keeps [s] worker domains alive and serves two request
     protocols:
 
     - {b barrier mode} ({!run_pool}): one task per worker {e and} on
       the calling domain, so a task sees worker indices [0 .. s]
-      ([s] = the caller). Tasks must not raise — trap exceptions into
-      an [Atomic.t] and re-raise after the barrier, as
-      {!Mapper.label} does.
+      ([s] = the caller).
     - {b service mode} ({!submit}/{!drain}): independent fire-and-
       forget jobs picked up by any idle worker; exceptions escaping a
       job are swallowed (trap them in the closure if the outcome
@@ -96,7 +87,10 @@ val pool_size : pool -> int
 
 val run_pool : pool -> (int -> unit) -> unit
 (** [run_pool p task] runs [task w] for every [w] in [0 .. s] and
-    returns when all have finished. Not reentrant. *)
+    returns when all have finished. A task that raises ends only its
+    own share of the work: the barrier still completes, and the
+    first exception is re-raised to the caller afterwards. The pool
+    stays usable. Not reentrant. *)
 
 val submit : pool -> (unit -> unit) -> bool
 (** [submit p job] enqueues [job] for any idle worker and returns

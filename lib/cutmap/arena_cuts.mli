@@ -1,22 +1,5 @@
-(** Priority-cut mapping on the flat {!Arena} — the huge-tier cut
-    engine.
-
-    Per-node cut sets live in preallocated flat buffers (leaves in an
-    int Bigarray slice per node, functions as packed truth-table
-    words, widths as bytes), written once by the labeling sweep and
-    read only by strictly higher levels. The sweep runs level by
-    level over the dense {!Arena.level_ranges} slices and fans wide
-    levels across a {!Parmap} domain pool with the shared
-    work-stealing protocol; each node is evaluated by the same
-    {!Cut_mapper.eval_node} kernel as the boxed mapper.
-
-    Determinism: labels, stored cut sets, per-node choices, the
-    netlist and [matches_evaluated] are {e bit-identical} to
-    [Cut_mapper.map] — and across all job counts — because each
-    node's evaluation is a pure function of its fanins' stored cuts
-    and lower-level labels, and the flat encoding round-trips cuts
-    exactly. The test suite asserts the three-way parity
-    (boxed / arena sequential / arena parallel). *)
+(** Compatibility alias for callers that map an {!Dagmap_core.Arena}
+    with priority cuts. The engine itself lives in {!Cut_mapper}. *)
 
 open Dagmap_subject
 open Dagmap_core
@@ -30,11 +13,4 @@ val map :
   Boolean_match.t ->
   Arena.t ->
   Cut_mapper.result * Parmap.par_stats
-(** [map db a] labels the arena and covers backward from the outputs.
-    Defaults match {!Cut_mapper.map} ([k] = 5 clamped to the
-    library's widest gate, [priority] = 50, [pi_arrival] constant
-    0.0); [jobs] defaults to 1 (sequential on the calling domain).
-    [subject] avoids a redundant {!Arena.to_subject} for the cover
-    when the caller already holds the boxed view; it must describe
-    the same graph. Raises {!Mapper.Unmappable} exactly when the
-    sequential mapper would. *)
+(** [map] is {!Cut_mapper.map_arena}. *)

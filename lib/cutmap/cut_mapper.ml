@@ -35,18 +35,26 @@ let unmatched_penalty =
   (* roughly one gate delay *)
   1.0
 
+(* Keep the better of [best] and the candidate [c]: smaller arrival,
+   then smaller area, then the earlier candidate. *)
+let keep_better best arrival area c =
+  match best with
+  | Some (a, ar, _)
+    when arrival > a +. 1e-12 || (arrival > a -. 1e-12 && area >= ar) -> best
+  | Some _ | None -> Some (arrival, area, c)
+
 (* The per-node label verdict. *)
 type verdict =
-  | Vconst of bool                (** some cut folded to a constant *)
-  | Vmatched of float * choice    (** best realized arrival + choice *)
-  | Vnone                         (** no cut matched: unmappable *)
+  | Vconst of bool                (* some cut folded to a constant *)
+  | Vmatched of float * choice    (* best realized arrival + choice *)
+  | Vnone                         (* no cut matched: unmappable *)
 
-(* Evaluate one non-PI node: merge the fanins' stored cut sets
-   through the node's operator, score every merged cut against the
-   Boolean index, keep the [priority] best plus the direct-fanin
-   fallback and the trivial cut, and label from the best over ALL
-   evaluated cuts (search all, not just kept, so the label is as
-   tight as the cut set allows).
+(* Evaluate one gate node with fanins [x] and [y] ([y < 0] for an
+   inverter): merge the fanins' stored cut sets through the node's
+   operator, score every merged cut against the Boolean index, keep
+   the [priority] best plus the direct-fanin fallback and the trivial
+   cut, and label from the best over ALL evaluated cuts (search all,
+   not just kept, so the label is as tight as the cut set allows).
 
    Enumeration is interleaved with labeling so priority pruning can
    rank cuts by what they actually achieve: a matched cut ranks by
@@ -54,21 +62,18 @@ type verdict =
    block for wider parent cuts) ranks by its worst leaf label plus a
    penalty that sorts it behind matched cuts of similar depth.
 
-   The whole evaluation is a pure function of the node kind, the
-   fanins' stored cut lists and strictly lower labels — which is what
-   lets {!Arena_cuts} replay it level-parallel on the flat arena with
-   bit-identical results. *)
-let eval_node ~k ~priority ~levels ~label db (kind : Subject.kind) ~stored_of
-    node =
+   The whole evaluation is a pure function of the fanins' stored cut
+   lists and strictly lower labels, which is what lets the sweep run
+   a level's nodes in any order on any domain with bit-identical
+   results. *)
+let eval_node ~k ~priority ~levels ~label db ~stored_of x y node =
   let merged, fanins =
-    match kind with
-    | Spi -> invalid_arg "Cut_mapper.eval_node: PI"
-    | Sinv x ->
+    if y < 0 then
       ( Cuts.merged_generic ~k levels
           (fun fs -> Truth.lognot fs.(0))
           [ stored_of x ],
         [ x ] )
-    | Snand (x, y) ->
+    else
       ( Cuts.merged_generic ~k levels
           (fun fs -> Truth.lognand fs.(0) fs.(1))
           [ stored_of x; stored_of y ],
@@ -82,20 +87,17 @@ let eval_node ~k ~priority ~levels ~label db (kind : Subject.kind) ~stored_of
         match Truth.is_const cut.Cuts.func with
         | Some b -> (cut, `Const b)
         | None ->
-          let best = ref None in
-          List.iter
-            (fun entry ->
-              incr matches_evaluated;
-              let c = { cut; entry } in
-              let arrival = choice_arrival label c in
-              let area = entry.Boolean_match.gate.Gate.area in
-              match !best with
-              | Some (a, ar, _)
-                when arrival > a +. 1e-12
-                     || (arrival > a -. 1e-12 && area >= ar) -> ()
-              | Some _ | None -> best := Some (arrival, area, c))
-            (Boolean_match.lookup db cut.Cuts.func);
-          (match !best with
+          let best =
+            List.fold_left
+              (fun best entry ->
+                incr matches_evaluated;
+                let c = { cut; entry } in
+                keep_better best (choice_arrival label c)
+                  entry.Boolean_match.gate.Gate.area c)
+              None
+              (Boolean_match.lookup db cut.Cuts.func)
+          in
+          (match best with
            | Some (arrival, area, c) -> (cut, `Matched (arrival, area, c))
            | None ->
              (* Same neg_infinity start as [choice_arrival]: the
@@ -118,37 +120,21 @@ let eval_node ~k ~priority ~levels ~label db (kind : Subject.kind) ~stored_of
   let sorted =
     List.sort (fun a b -> compare (score a) (score b)) evaluated
   in
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  let kept = take priority sorted in
+  let kept = List.filteri (fun i _ -> i < priority) sorted in
   (* One retention rule, shared with [Cuts.keep]: the direct-fanin
-     cut (or its support-shrunk descendant) always survives pruning.
-     The old inline check accepted any subset-of-fanins cut — a lone
-     trivial fanin cut could satisfy it — and never appended the
-     shrunk form, so a pruned node could lose its only matchable
-     cut. *)
+     cut (or its support-shrunk descendant) always survives pruning. *)
   let kept =
     Cuts.retain_fallback ~fanins
       ~leaves_of:(fun ((c : Cuts.cut), _) -> c.Cuts.leaves)
       ~all:evaluated kept
   in
   let stored = List.map fst kept @ [ Cuts.trivial ~levels node ] in
-  let const_v = ref None in
-  let best = ref None in
+  let const_v = ref None and best = ref None in
   List.iter
-    (fun e ->
-      match e with
+    (function
       | _, `Const b -> const_v := Some b
-      | _, `Matched (arrival, area, c) -> begin
-        match !best with
-        | Some (a, ar, _)
-          when arrival > a +. 1e-12 || (arrival > a -. 1e-12 && area >= ar) ->
-          ()
-        | Some _ | None -> best := Some (arrival, area, c)
-      end
+      | _, `Matched (arrival, area, c) ->
+        best := keep_better !best arrival area c
       | _, `Unmatched _ -> ())
     evaluated;
   let verdict =
@@ -159,23 +145,23 @@ let eval_node ~k ~priority ~levels ~label db (kind : Subject.kind) ~stored_of
   in
   (stored, verdict, !matches_evaluated)
 
-(* Cover construction with free duplication, as in the paper. Shared
-   with {!Arena_cuts}, which hands in its own [chosen]/[const_node]
-   arrays. *)
-let cover g ~(chosen : choice option array) ~(const_node : bool option array)
-    =
-  let needed = Hashtbl.create 64 in
+(* Cover construction with free duplication, as in the paper: a queue
+   seeded with the output drivers; each popped node contributes one
+   instance whose inputs are its chosen cut's leaves. Constant-folded
+   nodes drive constants and need no instance. *)
+let cover a ~subject ~levels ~(chosen : choice option array)
+    ~(const_node : bool option array) =
+  let needed = Array.make (Arena.num_nodes a) false in
   let queue = Queue.create () in
   let require node =
-    match Subject.kind g node with
-    | Spi -> ()
-    | Snand _ | Sinv _ ->
-      if const_node.(node) = None && not (Hashtbl.mem needed node) then begin
-        Hashtbl.add needed node ();
-        Queue.add node queue
-      end
+    if (not (Arena.is_pi a node)) && const_node.(node) = None
+       && not needed.(node)
+    then begin
+      needed.(node) <- true;
+      Queue.add node queue
+    end
   in
-  List.iter (fun o -> require o.Subject.out_node) g.Subject.outputs;
+  Array.iter (fun (_, node) -> require node) a.Arena.outputs;
   let picked = ref [] in
   while not (Queue.is_empty queue) do
     let node = Queue.pop queue in
@@ -185,17 +171,16 @@ let cover g ~(chosen : choice option array) ~(const_node : bool option array)
       picked := (node, c) :: !picked;
       Array.iter require c.cut.Cuts.leaves
   done;
-  let index = Hashtbl.create 64 in
-  List.iteri (fun i (node, _) -> Hashtbl.replace index node i) !picked;
+  let index = Array.make (Arena.num_nodes a) (-1) in
+  List.iteri (fun i (node, _) -> index.(node) <- i) !picked;
   let driver_of node =
     match const_node.(node) with
     | Some b -> Netlist.D_const b
-    | None -> begin
-      match Subject.kind g node with
-      | Spi -> Netlist.D_pi node
-      | Snand _ | Sinv _ -> Netlist.D_gate (Hashtbl.find index node)
-    end
+    | None ->
+      if Arena.is_pi a node then Netlist.D_pi node
+      else Netlist.D_gate index.(node)
   in
+  let folded node = const_node.(node) <> None in
   let instances =
     Array.of_list
       (List.mapi
@@ -206,68 +191,168 @@ let cover g ~(chosen : choice option array) ~(const_node : bool option array)
              (fun j leaf ->
                inputs.(c.entry.Boolean_match.pin_of_input.(j)) <- driver_of leaf)
              c.cut.Cuts.leaves;
-           let covers = Array.of_list (Cuts.cut_cone g node c.cut) in
+           let covers =
+             Array.of_list (Cuts.cut_cone a ~levels ~folded node c.cut)
+           in
            { Netlist.inst_id = i; gate; inputs; subject_root = node; covers })
          !picked)
   in
   let outputs =
-    List.map
-      (fun o -> (o.Subject.out_name, driver_of o.Subject.out_node))
-      g.Subject.outputs
-    @ List.map (fun (name, b) -> (name, Netlist.D_const b)) g.Subject.const_outputs
+    List.map (fun (name, node) -> (name, driver_of node))
+      (Array.to_list a.Arena.outputs)
+    @ List.map
+        (fun (name, b) -> (name, Netlist.D_const b))
+        a.Arena.const_outputs
   in
-  { Netlist.source = g; instances; outputs }
+  { Netlist.source = subject; instances; outputs }
 
-let map ?(k = 5) ?(priority = 50) ?(pi_arrival = fun _ -> 0.0) db g =
-  (* Cuts wider than the widest library gate can never match. *)
-  let k = max 2 (min k (Boolean_match.max_arity db)) in
-  let n = Subject.num_nodes g in
-  let levels = Subject.levels g in
-  let labels = Array.make n 0.0 in
-  let chosen : choice option array = Array.make n None in
-  let const_node : bool option array = Array.make n None in
-  let matched = ref 0 in
-  let matches_evaluated = ref 0 in
-  let stored : Cuts.cut list array = Array.make n [] in
-  let label l = labels.(l) in
-  let stored_of x = stored.(x) in
-  for node = 0 to n - 1 do
-    match Subject.kind g node with
-    | Spi ->
-      labels.(node) <- pi_arrival node;
-      stored.(node) <- [ Cuts.trivial ~levels node ]
-    | (Snand _ | Sinv _) as kind ->
-      let st, verdict, ev =
-        eval_node ~k ~priority ~levels ~label db kind ~stored_of node
+(* The cut store: three flat buffers indexed by slot [node * cap + i],
+   written once by the node's own sweep visit and read only by
+   strictly higher levels (after the level barrier).
+
+     leaves : int Bigarray, [k] ints per slot (cut leaves, sorted)
+     funcs  : int64 Bigarray, one word per slot (Truth.to_bits; cut
+              width <= 6 so one word always suffices)
+     widths : Bytes, one byte per slot (leaf count, 0 for a cut that
+              shrank to a constant)
+     counts : cuts stored per node
+
+   A node stores at most [priority + 2] cuts (the kept ones, one
+   appended fallback and its trivial cut), but under full enumeration
+   that bound is far above what nodes really store, so the capacity
+   starts at [min priority 62 + 2] (exact up to priority 62) and a
+   node that needs more raises [Overflow]: the sweep is deterministic,
+   so {!map_arena} simply reruns it with a larger capacity. *)
+exception Overflow of int
+
+type store = {
+  cap : int;
+  leaves : Arena.iarr;
+  funcs : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  widths : Bytes.t;
+  counts : int array;
+}
+
+let create_store ~k ~cap n =
+  let slots = max 1 (n * cap) in
+  { cap;
+    leaves = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (slots * k);
+    funcs = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout slots;
+    widths = Bytes.make slots '\000';
+    counts = Array.make (max 1 n) 0 }
+
+let store_node ~k st node cuts =
+  let count = List.length cuts in
+  if count > st.cap then raise (Overflow count);
+  List.iteri
+    (fun i (c : Cuts.cut) ->
+      let s = (node * st.cap) + i in
+      let w = Array.length c.Cuts.leaves in
+      Bytes.unsafe_set st.widths s (Char.unsafe_chr w);
+      Bigarray.Array1.unsafe_set st.funcs s (Truth.to_bits c.Cuts.func);
+      for j = 0 to w - 1 do
+        Bigarray.Array1.unsafe_set st.leaves ((s * k) + j) c.Cuts.leaves.(j)
+      done)
+    cuts;
+  st.counts.(node) <- count
+
+(* Rebuild a node's stored cut list in stored order; depths are
+   recomputed from [levels] exactly as the enumerator computed them,
+   and [Truth.of_bits] restores the normalized table exactly. *)
+let stored_of ~k ~levels st x =
+  let base = x * st.cap in
+  let rec build i acc =
+    if i < 0 then acc
+    else
+      let s = base + i in
+      let w = Char.code (Bytes.unsafe_get st.widths s) in
+      let lv =
+        Array.init w (fun j ->
+            Bigarray.Array1.unsafe_get st.leaves ((s * k) + j))
       in
-      stored.(node) <- st;
-      matches_evaluated := !matches_evaluated + ev;
-      (match verdict with
-       | Vconst b ->
-         const_node.(node) <- Some b;
-         labels.(node) <- 0.0
-       | Vmatched (arrival, c) ->
-         chosen.(node) <- Some c;
-         labels.(node) <- arrival;
-         incr matched
-       | Vnone ->
-         raise
-           (Mapper.Unmappable
-              { node;
-                description =
-                  Printf.sprintf
-                    "no Boolean match for any cut of subject node %d" node }))
-  done;
-  { netlist = cover g ~chosen ~const_node;
-    labels;
-    chosen;
-    matched_nodes = !matched;
-    matches_evaluated = !matches_evaluated }
+      let func = Truth.of_bits w (Bigarray.Array1.unsafe_get st.funcs s) in
+      let depth = Array.fold_left (fun acc l -> max acc levels.(l)) 0 lv in
+      build (i - 1) ({ Cuts.leaves = lv; func; depth } :: acc)
+  in
+  build (st.counts.(x) - 1) []
 
-let optimal_delay r =
-  List.fold_left
-    (fun acc o -> Float.max acc r.labels.(o.Subject.out_node))
-    0.0 r.netlist.Netlist.source.Subject.outputs
+let map_arena ?(jobs = 1) ?(k = 5) ?(priority = 50)
+    ?(pi_arrival = fun _ -> 0.0) ?subject db a =
+  let jobs = max 1 jobs in
+  (* Cuts wider than the widest library gate can never match (and the
+     widest gate has <= 6 pins, so every stored function fits one
+     truth-table word). *)
+  let k = max 2 (min k (Boolean_match.max_arity db)) in
+  (* Keeping fewer than none or more than every cut is the same as
+     keeping none or every one; the clamp keeps [priority + 2] from
+     wrapping around. *)
+  let priority = max 0 (min priority (max_int - 2)) in
+  let n = Arena.num_nodes a in
+  let levels = Arena.levels a in
+  let max_cap = priority + 2 in
+  let rec attempt cap =
+    let st = create_store ~k ~cap n in
+    let labels = Array.make (max 1 n) 0.0 in
+    let chosen : choice option array = Array.make (max 1 n) None in
+    let const_node : bool option array = Array.make (max 1 n) None in
+    let evaluated = Array.make jobs 0 in
+    let matched = Array.make jobs 0 in
+    let label l = labels.(l) in
+    let stored_of = stored_of ~k ~levels st in
+    let f0 = a.Arena.fanin0 and f1 = a.Arena.fanin1 in
+    let visit w node =
+      let x = Bigarray.Array1.unsafe_get f0 node in
+      if x < 0 then begin
+        labels.(node) <- pi_arrival node;
+        store_node ~k st node [ Cuts.trivial ~levels node ]
+      end
+      else begin
+        let y = Bigarray.Array1.unsafe_get f1 node in
+        let cuts, verdict, ev =
+          eval_node ~k ~priority ~levels ~label db ~stored_of x y node
+        in
+        store_node ~k st node cuts;
+        evaluated.(w) <- evaluated.(w) + ev;
+        match verdict with
+        | Vconst b -> const_node.(node) <- Some b
+        | Vmatched (arrival, c) ->
+          chosen.(node) <- Some c;
+          labels.(node) <- arrival;
+          matched.(w) <- matched.(w) + 1
+        | Vnone ->
+          raise
+            (Mapper.Unmappable
+               { node;
+                 description =
+                   Printf.sprintf
+                     "no Boolean match for any cut of subject node %d" node })
+      end
+    in
+    match Parmap.sweep ~jobs a visit with
+    | par -> (labels, chosen, const_node, evaluated, matched, par)
+    | exception Overflow need when cap < max_cap ->
+      (* Grow at least to what the overflowing node asked for, so a
+         node far over the capacity costs one rerun, not several. *)
+      attempt (min max_cap (max need (2 * cap)))
+  in
+  let labels, chosen, const_node, evaluated, matched, par =
+    attempt (min priority 62 + 2)
+  in
+  let subject =
+    match subject with Some g -> g | None -> Arena.to_subject a
+  in
+  let sum = Array.fold_left ( + ) 0 in
+  ( { netlist = cover a ~subject ~levels ~chosen ~const_node;
+      labels;
+      chosen;
+      matched_nodes = sum matched;
+      matches_evaluated = sum evaluated },
+    par )
+
+let map ?k ?priority ?pi_arrival db g =
+  fst
+    (map_arena ~jobs:1 ?k ?priority ?pi_arrival ~subject:g db
+       (Arena.of_subject g))
 
 let predicted_arrivals r =
   let g = r.netlist.Netlist.source in

@@ -10,10 +10,24 @@
     result is a strong heuristic rather than delay-optimal; the
     benchmark harness compares both engines.
 
-    The per-node evaluation kernel ({!eval_node}) is a pure function
-    of the node kind, the fanins' stored cut lists, and lower-level
-    labels; {!Arena_cuts} replays the same kernel over the flat arena
-    in level order (optionally parallel) with bit-identical results. *)
+    There is one engine, {!map_arena}. It runs {!Parmap.sweep} over
+    the flat {!Arena}, the same level sweep as {!Mapper.label}, and
+    keeps each node's cut set in preallocated flat buffers. A node's
+    evaluation is a pure function of its fanins' stored cuts and of
+    lower-level labels, so labels, choices, the netlist and
+    [matches_evaluated] are bit-identical for every [jobs]. {!map} is
+    the boxed {!Subject.t} entry point; it converts with
+    {!Arena.of_subject}, which keeps node ids.
+
+    {b Store capacity.} A node stores at most [priority + 2] cuts, but
+    full enumeration stores far fewer than a huge [priority] allows.
+    The store starts at [min priority 62 + 2] slots per node; a node
+    that needs more makes the engine rerun the (deterministic) sweep
+    with at least twice the capacity, up to [priority + 2].
+
+    {b Covers.} An instance covers the subject nodes on some path from
+    one of its cut's leaves to its root, root included, that passes
+    through no constant-folded node ({!Cuts.cut_cone}). *)
 
 open Dagmap_subject
 open Dagmap_core
@@ -31,6 +45,29 @@ type result = {
   matches_evaluated : int;        (** (cut, library entry) pairs scored *)
 }
 
+val map_arena :
+  ?jobs:int ->
+  ?k:int ->
+  ?priority:int ->
+  ?pi_arrival:(int -> float) ->
+  ?subject:Subject.t ->
+  Boolean_match.t ->
+  Arena.t ->
+  result * Parmap.par_stats
+(** [map_arena db a] labels the arena and covers backward from the
+    outputs. [k] (default 5, clamped to the library's widest
+    matchable gate) bounds cut width; [priority] (default 50) bounds
+    cuts kept per node — quality converges to the structural
+    mapper's as the budget grows (the harness sweeps this).
+    [pi_arrival] gives each primary input's external arrival time
+    (default 0.0 for all, matching {!Mapper.map}); negative arrivals
+    are honored, not clamped. [jobs] (default 1) is the number of
+    domains the sweep may use. [subject] becomes [Netlist.source]; it
+    must describe the same graph and defaults to
+    {!Arena.to_subject}. Raises [Mapper.Unmappable] if some node has
+    no matchable cut (cannot happen when the library contains INV
+    and NAND2). *)
+
 val map :
   ?k:int ->
   ?priority:int ->
@@ -38,55 +75,8 @@ val map :
   Boolean_match.t ->
   Subject.t ->
   result
-(** [map db g] maps [g]; [k] (default 5, clamped to the library's
-    widest matchable gate) bounds cut width, [priority] (default 50)
-    bounds cuts kept per node — quality converges to the structural
-    mapper's as the budget grows (the harness sweeps this).
-    [pi_arrival] gives each primary input's external arrival time
-    (default 0.0 for all, matching {!Mapper.map}); negative arrivals
-    are honored, not clamped. Raises [Mapper.Unmappable] if some node
-    has no matchable cut (cannot happen when the library contains INV
-    and NAND2). *)
-
-val choice_arrival : (int -> float) -> choice -> float
-(** Realized arrival of a choice under the given leaf-label function:
-    worst leaf label plus the matched gate's pin delay, with correct
-    handling of negative labels. *)
-
-type verdict =
-  | Vconst of bool                (** some cut folded to a constant *)
-  | Vmatched of float * choice    (** best realized arrival + choice *)
-  | Vnone                         (** no cut matched: unmappable *)
-
-val eval_node :
-  k:int ->
-  priority:int ->
-  levels:int array ->
-  label:(int -> float) ->
-  Boolean_match.t ->
-  Subject.kind ->
-  stored_of:(int -> Cuts.cut list) ->
-  int ->
-  Cuts.cut list * verdict * int
-(** Evaluate one non-PI node from its fanins' stored cut lists and
-    labels: returns the cut list to store for the node (priority-kept
-    plus fallback plus trivial), the label verdict, and the number of
-    (cut, entry) pairs scored. Deterministic: depends only on the
-    arguments, never on traversal order — the contract {!Arena_cuts}
-    relies on for bit-identical parallel replay. Raises
-    [Invalid_argument] on a PI kind. *)
-
-val cover :
-  Subject.t ->
-  chosen:choice option array ->
-  const_node:bool option array ->
-  Netlist.t
-(** Backward cover from the outputs with free duplication, using the
-    per-node best choices (and constant verdicts) computed by the
-    labeling pass. Shared by {!map} and {!Arena_cuts.map}. *)
-
-val optimal_delay : result -> float
-(** Worst label over the primary outputs. *)
+(** [map db g] is [map_arena ~jobs:1 ~subject:g db (Arena.of_subject
+    g)] without the sweep statistics. *)
 
 val predicted_arrivals : result -> (string * float) list
 (** Per-output predicted arrivals in [Check.audit] form: each output

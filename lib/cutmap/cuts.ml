@@ -1,5 +1,6 @@
 open Dagmap_logic
 open Dagmap_subject
+module Arena = Dagmap_core.Arena
 
 type cut = {
   leaves : int array;
@@ -64,15 +65,14 @@ let cut_depth levels leaves =
   Array.fold_left (fun acc l -> max acc levels.(l)) 0 leaves
 
 (* The fallback-retention invariant, stated once for every consumer
-   (the level-synchronous enumerator below, the boxed cut mapper, the
-   arena cut enumerator): after priority pruning, the kept list must
-   still contain the direct-fanin cut — exactly when present, else
-   its support-shrunk descendant (redundant nodes can shrink the
-   fanin cut, and a subset-of-fanins cut that is {e not} derived from
-   the fanin merge, e.g. a lone trivial fanin cut, does not satisfy
-   the invariant). [leaves_of] projects a list element to its cut
-   leaves so mappers can retain (cut, score) pairs without
-   repackaging. *)
+   (the level-synchronous enumerator below and the cut mapper): after
+   priority pruning, the kept list must still contain the direct-fanin
+   cut — exactly when present, else its support-shrunk descendant
+   (redundant nodes can shrink the fanin cut, and a subset-of-fanins
+   cut that is {e not} derived from the fanin merge, e.g. a lone
+   trivial fanin cut, does not satisfy the invariant). [leaves_of]
+   projects a list element to its cut leaves so mappers can retain
+   (cut, score) pairs without repackaging. *)
 let retain_fallback ~fanins ~leaves_of ~all kept =
   let fanin_leaves = Array.of_list (List.sort_uniq compare fanins) in
   let is_fanin_derived leaves =
@@ -175,20 +175,48 @@ let enumerate ?(k = 5) ?(priority = 8) g =
   done;
   cuts
 
-let cut_cone g node c =
-  let leaf = Hashtbl.create 8 in
-  Array.iter (fun l -> Hashtbl.replace leaf l ()) c.leaves;
-  let seen = Hashtbl.create 16 in
-  let acc = ref [] in
-  let rec visit u =
-    if (not (Hashtbl.mem leaf u)) && not (Hashtbl.mem seen u) then begin
-      Hashtbl.replace seen u ();
-      List.iter visit (Subject.fanins g u);
-      acc := u :: !acc
+(* The nodes an instance rooted at [node] implements: those on some
+   path from a cut leaf up to the root, root included, that passes
+   through no constant-folded node. A support-shrunk cut is no longer
+   a separator — the input shrinking dropped still feeds the cone —
+   so walking down "until a leaf" would run through the dropped
+   input's fan-in to the primary inputs. No path from a leaf to the
+   root has an interior node at or below the lowest leaf level, which
+   bounds the walk; a second pass over the walked nodes in index
+   (topological) order keeps those that reach a leaf. *)
+let cut_cone a ~levels ~folded node c =
+  let is_leaf x = Array.mem x c.leaves in
+  let floor = Array.fold_left (fun m l -> min m levels.(l)) max_int c.leaves in
+  (* Every walked node is a key of [reach]; true once it is known to
+     reach a leaf. *)
+  let reach = Hashtbl.create 16 in
+  let push x stack =
+    if
+      x < 0 || is_leaf x || folded x || levels.(x) <= floor
+      || Hashtbl.mem reach x
+    then stack
+    else begin
+      Hashtbl.replace reach x false;
+      x :: stack
     end
   in
-  visit node;
-  !acc
+  let rec walk walked = function
+    | [] -> walked
+    | u :: stack ->
+      walk (u :: walked)
+        (push (Arena.fanin0 a u) (push (Arena.fanin1 a u) stack))
+  in
+  Hashtbl.replace reach node false;
+  let reaches x = is_leaf x || Hashtbl.find_opt reach x = Some true in
+  List.fold_left
+    (fun acc u ->
+      if u = node || reaches (Arena.fanin0 a u) || reaches (Arena.fanin1 a u)
+      then begin
+        Hashtbl.replace reach u true;
+        u :: acc
+      end
+      else acc)
+    [] (List.sort compare (walk [] [ node ]))
 
 let check ?(rounds = 16) g node c =
   let pis = Subject.pi_ids g in

@@ -49,8 +49,8 @@ val merged_generic :
     {!merged_for_node} without the boxed subject: merge one or two
     fanins' cut lists through the node operator [combine]. The result
     order is a deterministic function of the input lists alone, which
-    is what lets the arena enumerator reproduce the boxed mapper's
-    cut sets bit-for-bit. *)
+    is what lets the cut mapper's level sweep produce the same cut
+    sets in any visiting order. *)
 
 val keep :
   priority:int ->
@@ -73,12 +73,26 @@ val retain_fallback :
     append it from [all] — or, when support shrinking ate it, its
     shrunk descendant (a strict subset of the fanin leaves). A mere
     subset-of-fanins cut in [kept] (e.g. a single trivial fanin cut)
-    does {e not} satisfy the invariant. Shared by {!keep} and the
-    boxed/arena cut mappers so the retention rule cannot drift. *)
+    does {e not} satisfy the invariant. Shared by {!keep} and the cut
+    mapper so the retention rule cannot drift. *)
 
-val cut_cone : Subject.t -> int -> cut -> int list
-(** Subject nodes strictly inside the cut (between leaves and root,
-    root included). *)
+val cut_cone :
+  Dagmap_core.Arena.t ->
+  levels:int array ->
+  folded:(int -> bool) ->
+  int ->
+  cut ->
+  int list
+(** [cut_cone a ~levels ~folded root c] is what an instance of [c] at
+    [root] covers: the nodes on some path from a leaf of [c] up to
+    [root], [root] included and the leaves excluded, that passes
+    through no node for which [folded] holds (a node the mapper
+    folded to a constant). [levels] is {!Dagmap_core.Arena.levels}.
+    On a cut that separates [root] from the primary inputs this is
+    every node between the leaves and the root; a support-shrunk cut
+    does not, and the walk never leaves the region above its lowest
+    leaf, so no primary input is ever covered. Root first; iterative,
+    so deep cones cannot overflow the stack. *)
 
 val check : ?rounds:int -> Subject.t -> int -> cut -> bool
 (** Validate a cut in circuit: over random primary-input vectors

@@ -74,6 +74,14 @@ let float_of_token ?file t =
   | Some f -> f
   | None -> error ?file t.pos "expected a number, got %S" t.text
 
+(* A pin delay must be a finite, non-negative number: infinity ("1e400"
+   parses as one) makes every match through the pin unusable, and the
+   mapper and the timing analyzer disagree on arrivals below zero. *)
+let delay_of_token ?file t =
+  let d = float_of_token ?file t in
+  if Float.is_finite d && d >= 0.0 then d
+  else error ?file t.pos "delay must be finite and non-negative, got %S" t.text
+
 let phase_of_token ?file t =
   match t.text with
   | "INV" -> Gate.Inv
@@ -85,17 +93,18 @@ let phase_of_token ?file t =
 let parse_pin ?file pos rest =
   match rest with
   | name :: ph :: il :: ml :: rb :: rf :: fb :: ff :: tail ->
-    let pin =
-      { Gate.pin_name = name.text;
-        phase = phase_of_token ?file ph;
-        input_load = float_of_token ?file il;
-        max_load = float_of_token ?file ml;
-        rise_block = float_of_token ?file rb;
-        rise_fanout = float_of_token ?file rf;
-        fall_block = float_of_token ?file fb;
-        fall_fanout = float_of_token ?file ff }
-    in
-    (pin, tail)
+    (* Fields are converted left to right, so an error names the
+       first bad one (record fields evaluate in unspecified order). *)
+    let phase = phase_of_token ?file ph in
+    let input_load = float_of_token ?file il in
+    let max_load = float_of_token ?file ml in
+    let rise_block = delay_of_token ?file rb in
+    let rise_fanout = delay_of_token ?file rf in
+    let fall_block = delay_of_token ?file fb in
+    let fall_fanout = delay_of_token ?file ff in
+    ( { Gate.pin_name = name.text; phase; input_load; max_load; rise_block;
+        rise_fanout; fall_block; fall_fanout },
+      tail )
   | _ -> error ?file pos "truncated PIN clause"
 
 (* Collect formula tokens up to ';' (formulas may contain spaces). *)

@@ -10,7 +10,8 @@
     [SEQ]/[CONTROL]/[CONSTRAINT] lines are recognized and skipped
     (this reproduction maps combinational logic; latches are handled
     structurally by the retiming layer). A [PIN *] line applies to
-    all formula inputs. *)
+    all formula inputs. The four delay fields must be finite and
+    non-negative; anything else is a {!Syntax_error} at the field. *)
 
 exception
   Syntax_error of {

@@ -222,39 +222,35 @@ let generate ?(bounds = default_bounds) ?(jobs = 1) (lib : Libraries.t) =
         in
         let results = Array.make jobs [] in
         let considered = Array.make jobs 0 in
-        let failure : exn option Atomic.t = Atomic.make None in
         let cursor = Atomic.make 0 in
         let work w =
-          try
-            let memo = memos.(w) in
-            let consider tree =
-              considered.(w) <- considered.(w) + 1;
-              let leaves = Supergate.leaves tree in
-              if leaves >= 2 then begin
-                let func = Supergate.func tree in
-                if
-                  Truth.is_const func = None
-                  && List.length (Truth.support func) = leaves
-                then
-                  results.(w) <-
-                    make_cand ~fusion:b.fusion ~from_base:false memo tree func
-                    :: results.(w)
-              end
-            in
-            let rec loop () =
-              let r = Atomic.fetch_and_add cursor 1 in
-              if r < Array.length roots then begin
-                enumerate_root b ~d ~pool ~consider roots.(r);
-                loop ()
-              end
-            in
-            loop ()
-          with e -> ignore (Atomic.compare_and_set failure None (Some e))
+          let memo = memos.(w) in
+          let consider tree =
+            considered.(w) <- considered.(w) + 1;
+            let leaves = Supergate.leaves tree in
+            if leaves >= 2 then begin
+              let func = Supergate.func tree in
+              if
+                Truth.is_const func = None
+                && List.length (Truth.support func) = leaves
+              then
+                results.(w) <-
+                  make_cand ~fusion:b.fusion ~from_base:false memo tree func
+                  :: results.(w)
+            end
+          in
+          let rec loop () =
+            let r = Atomic.fetch_and_add cursor 1 in
+            if r < Array.length roots then begin
+              enumerate_root b ~d ~pool ~consider roots.(r);
+              loop ()
+            end
+          in
+          loop ()
         in
         (match pool_domain with
          | Some p -> Parmap.run_pool p work
          | None -> work 0);
-        (match Atomic.get failure with Some e -> raise e | None -> ());
         considered_total :=
           !considered_total + Array.fold_left ( + ) 0 considered;
         merge_level (List.concat (Array.to_list results))

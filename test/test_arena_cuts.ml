@@ -1,7 +1,8 @@
-(* Arena priority-cut mapping: three-way parity with the boxed cut
-   mapper (boxed / arena sequential / arena parallel), full lib/check
-   audits over the mode x k x priority x library matrix (supergates
-   included), and never-worse-than-tree quality. *)
+(* The priority-cut engine on the arena: bit-identical results for
+   every job count (including store-capacity reruns under full
+   enumeration), full lib/check audits over the k x priority x
+   library matrix (supergates included), and never-worse-than-tree
+   quality. Its cut-side optimality check is in test_mapper. *)
 
 open Dagmap_logic
 open Dagmap_genlib
@@ -82,50 +83,47 @@ let check_same_result name (r1 : Cut_mapper.result) (r2 : Cut_mapper.result) =
 (* Parity                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let parity_configs = [ (4, 3); (5, 8); (6, 50) ]
-
-let test_three_way_parity () =
-  List.iter
-    (fun lib ->
-      let db = Boolean_match.prepare lib in
-      List.iter
-        (fun (name, g) ->
-          let a = Arena.of_subject g in
-          List.iter
-            (fun (k, priority) ->
-              let tag =
-                Printf.sprintf "%s/%s k=%d p=%d" name lib.Libraries.lib_name k
-                  priority
-              in
-              let boxed = Cut_mapper.map ~k ~priority db g in
-              let seq, _ =
-                Arena_cuts.map ~jobs:1 ~k ~priority ~subject:g db a
-              in
-              let par, stats =
-                Arena_cuts.map ~jobs:4 ~k ~priority ~subject:g db a
-              in
-              check_same_result (tag ^ " boxed=arena") boxed seq;
-              check_same_result (tag ^ " seq=par") seq par;
-              check tbool (tag ^ " level timings recorded") true
-                (Array.length stats.Parmap.level_seconds = stats.Parmap.levels))
-            parity_configs)
-        (small_circuits ()))
-    [ Libraries.minimal (); Libraries.lib2_like () ]
-
 let test_parallel_parity_wide () =
   let g = wide_circuit () in
   let a = Arena.of_subject g in
   let db = Boolean_match.prepare (Libraries.lib2_like ()) in
-  let seq, sstats = Arena_cuts.map ~jobs:1 ~k:4 ~priority:6 ~subject:g db a in
-  let par, pstats = Arena_cuts.map ~jobs:4 ~k:4 ~priority:6 ~subject:g db a in
+  let run jobs = Cut_mapper.map_arena ~jobs ~k:4 ~priority:6 ~subject:g db a in
+  let seq, sstats = run 1 and par, pstats = run 4 in
   (* The wide circuit must actually exercise the work-stealing path,
      otherwise this test proves nothing about parallel determinism. *)
   check tbool "some levels fanned out" true (pstats.Parmap.parallel_levels > 0);
   check tbool "chunks claimed" true (pstats.Parmap.chunks > 0);
   check tint "sequential run stays on caller" 0 sstats.Parmap.parallel_levels;
-  check_same_result "wide seq=par" seq par;
-  let boxed = Cut_mapper.map ~k:4 ~priority:6 db g in
-  check_same_result "wide boxed=par" boxed par
+  check tbool "level timings recorded" true
+    (Array.length pstats.Parmap.level_seconds = pstats.Parmap.levels);
+  check_same_result "wide seq=par" seq par
+
+(* Full enumeration stores more cuts on some nodes than the store's
+   starting capacity (64 slots), so the engine reruns its sweep with
+   a larger one. The reruns must not leak into the result: jobs 1 and
+   4 agree, and so do two budgets that both keep every cut. *)
+let test_capacity_reruns () =
+  let g = Subject.of_network (Generators.carry_lookahead_adder 12) in
+  let a = Arena.of_subject g in
+  let db = Boolean_match.prepare (Libraries.lib2_like ()) in
+  let widest =
+    Array.fold_left
+      (fun m cuts -> max m (List.length cuts))
+      0
+      (Cuts.enumerate ~k:(min 5 (Boolean_match.max_arity db))
+         ~priority:max_int g)
+  in
+  check tbool
+    (Printf.sprintf "some node stores %d > 64 cuts" widest)
+    true (widest > 64);
+  let full jobs priority =
+    fst (Cut_mapper.map_arena ~jobs ~priority ~subject:g db a)
+  in
+  let seq = full 1 1_000_000 in
+  check_same_result "full enumeration seq=par" seq (full 4 1_000_000);
+  check_same_result "budget above the widest node" seq (full 1 (widest + 1));
+  check_same_result "budget max_int" seq (full 1 max_int);
+  check_same_result "negative budget keeps none" (full 1 0) (full 1 (-5))
 
 let test_arena_without_subject () =
   (* Covering through Arena.to_subject must agree with covering
@@ -133,8 +131,8 @@ let test_arena_without_subject () =
   let _, g = List.hd (small_circuits ()) in
   let a = Arena.of_subject g in
   let db = Boolean_match.prepare (Libraries.minimal ()) in
-  let with_subject, _ = Arena_cuts.map ~subject:g db a in
-  let without, _ = Arena_cuts.map db a in
+  let with_subject, _ = Cut_mapper.map_arena ~subject:g db a in
+  let without, _ = Cut_mapper.map_arena db a in
   check_same_result "to_subject cover" with_subject without
 
 let test_pi_arrival_parity () =
@@ -142,9 +140,11 @@ let test_pi_arrival_parity () =
   let a = Arena.of_subject g in
   let db = Boolean_match.prepare (Libraries.lib2_like ()) in
   let pi_arrival node = if node mod 2 = 0 then -3.0 else 1.5 in
-  let boxed = Cut_mapper.map ~priority:8 ~pi_arrival db g in
-  let par, _ = Arena_cuts.map ~jobs:4 ~priority:8 ~pi_arrival ~subject:g db a in
-  check_same_result "pi_arrival boxed=par" boxed par
+  let run jobs =
+    fst (Cut_mapper.map_arena ~jobs ~priority:8 ~pi_arrival ~subject:g db a)
+  in
+  let seq = run 1 and par = run 4 in
+  check_same_result "pi_arrival seq=par" seq par
 
 (* ------------------------------------------------------------------ *)
 (* Audit matrix                                                        *)
@@ -178,11 +178,10 @@ let test_audit_matrix () =
                 Printf.sprintf "%s/%s k=%d p=%d" name lib.Libraries.lib_name k
                   priority
               in
-              audit_clean (tag ^ " boxed") g (Cut_mapper.map ~k ~priority db g);
               let par, _ =
-                Arena_cuts.map ~jobs:2 ~k ~priority ~subject:g db a
+                Cut_mapper.map_arena ~jobs:2 ~k ~priority ~subject:g db a
               in
-              audit_clean (tag ^ " arena") g par)
+              audit_clean tag g par)
             [ (4, 3); (5, 8) ])
         (small_circuits ()))
     libs
@@ -242,8 +241,10 @@ let test_million_node_soc () =
     check tbool "1M+ nodes" true (Arena.num_nodes a >= 1_000_000);
     let g = Arena.to_subject a in
     let db = Boolean_match.prepare (Libraries.lib2_like ()) in
-    let seq, _ = Arena_cuts.map ~jobs:1 ~k:4 ~priority:8 ~subject:g db a in
-    let par, stats = Arena_cuts.map ~jobs:4 ~k:4 ~priority:8 ~subject:g db a in
+    let run jobs =
+      Cut_mapper.map_arena ~jobs ~k:4 ~priority:8 ~subject:g db a
+    in
+    let seq, _ = run 1 and par, stats = run 4 in
     check tbool "1M parallel levels" true (stats.Parmap.parallel_levels > 0);
     check_same_result "1M seq=par" seq par;
     audit_clean "1M soc" g par
@@ -252,8 +253,8 @@ let test_million_node_soc () =
 let () =
   Alcotest.run "arena_cuts"
     [ ( "parity",
-        [ Alcotest.test_case "three-way matrix" `Quick test_three_way_parity;
-          Alcotest.test_case "wide parallel" `Quick test_parallel_parity_wide;
+        [ Alcotest.test_case "wide parallel" `Quick test_parallel_parity_wide;
+          Alcotest.test_case "capacity reruns" `Quick test_capacity_reruns;
           Alcotest.test_case "cover via to_subject" `Quick
             test_arena_without_subject;
           Alcotest.test_case "external arrivals" `Quick test_pi_arrival_parity ] );

@@ -42,7 +42,7 @@ let test_audit_clean_benchmarks () =
 let test_structural_catches_corruption () =
   (* Clone an instance onto the end of a clean netlist: nothing uses
      the clone (dangling) and its subject root is now implemented
-     twice. *)
+     twice. Then make an instance cover a primary input. *)
   let db = Lazy.force the_db in
   let g = Subject.of_network (Generators.parity 4) in
   let nl = (Mapper.map Mapper.Dag db g).Mapper.netlist in
@@ -61,7 +61,26 @@ let test_structural_catches_corruption () =
       issues
   in
   check tbool "duplicate subject root reported" true (has "both implement");
-  check tbool "dangling instance reported" true (has "dangling")
+  check tbool "dangling instance reported" true (has "dangling");
+  (* No cover may contain a primary input. *)
+  let pi = List.hd (Subject.pi_ids g) in
+  let inst = nl.Netlist.instances.(0) in
+  let covering_pi =
+    { nl with
+      Netlist.instances =
+        Array.mapi
+          (fun i x ->
+            if i > 0 then x
+            else
+              { inst with
+                Netlist.covers = Array.append inst.Netlist.covers [| pi |] })
+          nl.Netlist.instances }
+  in
+  check (Alcotest.list Alcotest.string) "covered primary input reported"
+    [ Printf.sprintf "structural: instance 0 covers primary input %d" pi ]
+    (List.map
+       (Format.asprintf "%a" Check.pp_issue)
+       (Check.structural covering_pi))
 
 let test_delay_audit_is_per_output () =
   (* Skew the prediction of one non-critical output: a worst-delay

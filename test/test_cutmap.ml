@@ -80,7 +80,32 @@ let test_cut_cone () =
   let g = Subject.Builder.finish b in
   let cut = { Cuts.leaves = [| x |]; func = Truth.lognot (Truth.var 1 0); depth = 0 } in
   check tbool "cut checks" true (Cuts.check g i3 cut);
-  check tint "cone size" 3 (List.length (Cuts.cut_cone g i3 cut))
+  let a = Arena.of_subject g in
+  let cone =
+    Cuts.cut_cone a ~levels:(Arena.levels a) ~folded:(fun _ -> false) i3 cut
+  in
+  check tint "cone size" 3 (List.length cone)
+
+(* o = NAND(a, NAND(b, INV b)): the inner NAND folds to constant 1, so
+   o's best cut shrinks to {a} and o maps to an inverter. That cut no
+   longer separates o from b; the cover must still stop at the cut's
+   region and never cover the primary input b. *)
+let test_shrunk_cut_cover () =
+  let b = Subject.Builder.create () in
+  let pa = Subject.Builder.pi b "a" in
+  let pb = Subject.Builder.pi b "b" in
+  let inner = Subject.Builder.nand b pb (Subject.Builder.inv b pb) in
+  let o = Subject.Builder.nand b pa inner in
+  Subject.Builder.output b "o" o;
+  let g = Subject.Builder.finish b in
+  let r = Cut_mapper.map (Boolean_match.prepare (Libraries.minimal ())) g in
+  let nl = r.Cut_mapper.netlist in
+  check tint "one instance" 1 (Netlist.num_gates nl);
+  let inst = nl.Netlist.instances.(0) in
+  check (Alcotest.list tint) "covers only the root" [ o ]
+    (Array.to_list inst.Netlist.covers);
+  check tint "structural lint clean" 0
+    (List.length (Dagmap_check.Check.structural nl))
 
 (* --- Boolean matching ------------------------------------------------ *)
 
@@ -335,7 +360,9 @@ let () =
         [ Alcotest.test_case "validity" `Quick test_cut_validity;
           Alcotest.test_case "trivial present" `Quick test_trivial_cut_present;
           Alcotest.test_case "priority bound" `Quick test_priority_bound;
-          Alcotest.test_case "cut cone" `Quick test_cut_cone ] );
+          Alcotest.test_case "cut cone" `Quick test_cut_cone;
+          Alcotest.test_case "shrunk cut cover" `Quick
+            test_shrunk_cut_cover ] );
       ( "boolean matching",
         [ Alcotest.test_case "nand2 lookup" `Quick test_lookup_nand2;
           Alcotest.test_case "permutation wiring" `Quick

@@ -9,6 +9,11 @@ let tbool = Alcotest.bool
 let tint = Alcotest.int
 let tfloat = Alcotest.float 1e-9
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let test_single_gate () =
   let gates =
     Genlib_parser.parse_string
@@ -110,6 +115,30 @@ let test_error_positions () =
        && String.sub (Genlib_parser.describe e) 0 12 = "x.genlib:1:1")
    | _ -> Alcotest.fail "expected syntax error")
 
+(* A pin delay that is infinite ("1e400" overflows to one), not a
+   number, or negative is rejected at the offending field. *)
+let test_hostile_delays () =
+  let expect_delay_error source eline ecol =
+    match Genlib_parser.parse_string ~file:"bad.genlib" source with
+    | exception (Genlib_parser.Syntax_error { line; col; message; _ } as e) ->
+      check tint (source ^ ": line") eline line;
+      check tint (source ^ ": col") ecol col;
+      check tbool (source ^ ": message") true
+        (contains message "finite and non-negative");
+      check tbool "describe has file:line:col" true
+        (contains (Genlib_parser.describe e)
+           (Printf.sprintf "bad.genlib:%d:%d:" eline ecol))
+    | _ -> Alcotest.failf "expected a delay error on %S" source
+  in
+  let pin fields = "GATE g 1 O=!a;\nPIN * INV 1 999 " ^ fields ^ "\n" in
+  expect_delay_error (pin "1e400 0 1 0") 2 17;
+  expect_delay_error (pin "-1.0 0 -1.0 0") 2 17;
+  expect_delay_error (pin "1 nan 1 0") 2 19;
+  expect_delay_error (pin "1 0 1 -0.5") 2 23;
+  (* Zero delays stay legal. *)
+  check tint "zero delay parses" 1
+    (List.length (Genlib_parser.parse_string (pin "0 0 0 0")))
+
 let test_print_parse_roundtrip () =
   let lib = Libraries.lib2_like () in
   let text = Genlib_parser.to_string lib.Libraries.gates in
@@ -193,6 +222,7 @@ let () =
           Alcotest.test_case "pin defaults" `Quick test_no_pin_clause_defaults;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "error positions" `Quick test_error_positions;
+          Alcotest.test_case "hostile delays" `Quick test_hostile_delays;
           Alcotest.test_case "roundtrip" `Quick test_print_parse_roundtrip ] );
       ( "libraries",
         [ Alcotest.test_case "builtins" `Quick test_builtin_libraries;

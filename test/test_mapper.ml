@@ -270,49 +270,59 @@ let brute_force_arrivals lib g =
   assign 0;
   (outs, best)
 
+(* Library with real choices: inv, nand2, plus compound gates with
+   distinctive delays. Each gate has one delay on every pin, so any
+   wiring of a gate to a cut realizes the same arrival — which is what
+   lets the Boolean matcher's one wiring per gate and function stand
+   in for every structural match of that gate. *)
+let tiny_lib =
+  lazy
+    (let mk name delay n expr =
+       Gate.make ~name ~area:1.0
+         ~pins:
+           (Array.init n (fun i ->
+                Gate.simple_pin ~delay (Printf.sprintf "p%d" i)))
+         expr
+     in
+     Libraries.make "tiny"
+       [ mk "inv" 0.6 1 Bexpr.(not_ (var 0));
+         mk "nand2" 1.0 2 Bexpr.(not_ (and2 (var 0) (var 1)));
+         mk "and2" 1.3 2 Bexpr.(and2 (var 0) (var 1));
+         mk "aoi21" 1.4 3 Bexpr.(not_ (or2 (and2 (var 0) (var 1)) (var 2)));
+         mk "nand3" 1.2 3 Bexpr.(not_ (and_list [ var 0; var 1; var 2 ])) ])
+
+(* A random subject: up to 8 NAND/INV nodes over 3 PIs (structural
+   hashing may fold some away), the last node and one other as
+   outputs. [None] unless it has 1 to 8 gate nodes, the range the
+   exhaustive search can afford. *)
+let random_small_subject seed =
+  let rng = Random.State.make [| seed |] in
+  let b = Subject.Builder.create () in
+  let nodes = ref (List.init 3 (fun i -> Subject.Builder.pi b (Printf.sprintf "x%d" i))) in
+  let pick () = List.nth !nodes (Random.State.int rng (List.length !nodes)) in
+  for _ = 1 to 4 + Random.State.int rng 5 do
+    let x = pick () and y = pick () in
+    let node =
+      if x = y || Random.State.int rng 4 = 0 then Subject.Builder.inv b x
+      else Subject.Builder.nand b x y
+    in
+    if not (List.mem node !nodes) then nodes := !nodes @ [ node ]
+  done;
+  Subject.Builder.output b "o0" (List.nth !nodes (List.length !nodes - 1));
+  Subject.Builder.output b "o1" (pick ());
+  let g = Subject.Builder.finish b in
+  let gates = Subject.num_nodes g - List.length (Subject.pi_ids g) in
+  if gates >= 1 && gates <= 8 then Some g else None
+
 let test_optimality_vs_exhaustive () =
-  (* Library with real choices: inv, nand2, plus compound gates with
-     distinctive delays. *)
-  let mk name delay n expr =
-    Gate.make ~name ~area:1.0
-      ~pins:(Array.init n (fun i -> Gate.simple_pin ~delay (Printf.sprintf "p%d" i)))
-      expr
-  in
-  let lib =
-    Libraries.make "tiny"
-      [ mk "inv" 0.6 1 Bexpr.(not_ (var 0));
-        mk "nand2" 1.0 2 Bexpr.(not_ (and2 (var 0) (var 1)));
-        mk "and2" 1.3 2 Bexpr.(and2 (var 0) (var 1));
-        mk "aoi21" 1.4 3 Bexpr.(not_ (or2 (and2 (var 0) (var 1)) (var 2)));
-        mk "nand3" 1.2 3 Bexpr.(not_ (and_list [ var 0; var 1; var 2 ])) ]
-  in
+  let lib = Lazy.force tiny_lib in
   let db = Matchdb.prepare lib in
   let checked = ref 0 in
-  (* A random subject: up to 8 NAND/INV nodes over 3 PIs (structural
-     hashing may fold some away), the last node and one other as
-     outputs. *)
-  let random_subject seed =
-    let rng = Random.State.make [| seed |] in
-    let b = Subject.Builder.create () in
-    let nodes = ref (List.init 3 (fun i -> Subject.Builder.pi b (Printf.sprintf "x%d" i))) in
-    let pick () = List.nth !nodes (Random.State.int rng (List.length !nodes)) in
-    for _ = 1 to 4 + Random.State.int rng 5 do
-      let x = pick () and y = pick () in
-      let node =
-        if x = y || Random.State.int rng 4 = 0 then Subject.Builder.inv b x
-        else Subject.Builder.nand b x y
-      in
-      if not (List.mem node !nodes) then nodes := !nodes @ [ node ]
-    done;
-    Subject.Builder.output b "o0" (List.nth !nodes (List.length !nodes - 1));
-    Subject.Builder.output b "o1" (pick ());
-    Subject.Builder.finish b
-  in
   List.iter
     (fun seed ->
-      let g = random_subject seed in
-      let gates = Subject.num_nodes g - List.length (Subject.pi_ids g) in
-      if gates >= 1 && gates <= 8 then begin
+      match random_small_subject seed with
+      | None -> ()
+      | Some g ->
         incr checked;
         let outs, optimum = brute_force_arrivals lib g in
         let label mode = (Mapper.map mode db g).Mapper.labels in
@@ -327,10 +337,40 @@ let test_optimality_vs_exhaustive () =
               (ext.(node) <= optimum.(i) +. 1e-9);
             check tbool (what ^ ": optimum <= tree") true
               (optimum.(i) <= tree.(node) +. 1e-9))
-          outs
-      end)
+          outs)
     (List.init 40 (fun i -> i));
   check tbool "most seeds exhaustively checked" true (!checked >= 30)
+
+(* The theorem on the cut side. The pins of every standard match form
+   a cut no wider than the library's widest gate, and that cut's
+   function is the gate's; full enumeration keeps every such cut. So
+   the cut engine at unbounded priority must reach a label no worse
+   than the Dag label, which the test above pins to the optimum. *)
+let test_cut_engine_reaches_optimum () =
+  let lib = Lazy.force tiny_lib in
+  let db = Matchdb.prepare lib in
+  let bdb = Matchdb.boolean db in
+  let checked = ref 0 in
+  List.iter
+    (fun seed ->
+      match random_small_subject seed with
+      | None -> ()
+      | Some g ->
+        incr checked;
+        let dag = (Mapper.map Mapper.Dag db g).Mapper.labels in
+        let cut =
+          (Dagmap_cutmap.Cut_mapper.map ~priority:1_000_000 bdb g)
+            .Dagmap_cutmap.Cut_mapper.labels
+        in
+        List.iter
+          (fun o ->
+            let node = o.Subject.out_node in
+            if not (cut.(node) <= dag.(node) +. 1e-9) then
+              Alcotest.failf "seed %d output %s: cut %.3f > dag %.3f" seed
+                o.Subject.out_name cut.(node) dag.(node))
+          g.Subject.outputs)
+    (List.init 2000 (fun i -> i));
+  check tbool "most seeds checked" true (!checked >= 1500)
 
 let test_negative_pi_arrivals () =
   (* Regression: [match_arrival] started its max at 0.0, clamping any
@@ -388,7 +428,9 @@ let () =
           Alcotest.test_case "rich library helps" `Quick
             test_rich_library_beats_simple;
           Alcotest.test_case "exhaustive covers" `Slow
-            test_optimality_vs_exhaustive ] );
+            test_optimality_vs_exhaustive;
+          Alcotest.test_case "cut engine reaches the optimum" `Quick
+            test_cut_engine_reaches_optimum ] );
       ( "edge cases",
         [ Alcotest.test_case "unmappable" `Quick test_unmappable_raises;
           Alcotest.test_case "const and pi outputs" `Quick

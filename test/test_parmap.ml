@@ -272,6 +272,58 @@ let test_pool_job_isolation () =
   check tint "jobs after failing jobs still run" 20 (Atomic.get ok);
   Parmap.shutdown_pool pool
 
+(* A raising barrier task ends only its own share: every other task
+   still runs, the first exception reaches the caller after the
+   barrier, and the pool keeps working. *)
+let test_pool_barrier_exception () =
+  let pool = Parmap.make_pool 3 in
+  let ran = Atomic.make 0 in
+  (match
+     Parmap.run_pool pool (fun w ->
+         Atomic.incr ran;
+         if w = 1 then failwith "task bug")
+   with
+   | () -> Alcotest.fail "the task's exception was swallowed"
+   | exception Failure m ->
+     check Alcotest.string "first exception" "task bug" m);
+  check tint "every task ran" 4 (Atomic.get ran);
+  let again = Atomic.make 0 in
+  Parmap.run_pool pool (fun _ -> Atomic.incr again);
+  check tint "pool reusable" 4 (Atomic.get again);
+  Parmap.shutdown_pool pool
+
+(* The sweep visits every node exactly once, lower levels first, for
+   any job count. *)
+let test_sweep_visits () =
+  let g =
+    Subject.of_network
+      (Generators.random_dag ~seed:3 ~inputs:64 ~outputs:16 ~nodes:2000 ())
+  in
+  let a = Arena.of_subject g in
+  let levels = Arena.levels a in
+  List.iter
+    (fun jobs ->
+      let visits = Array.make (Arena.num_nodes a) 0 in
+      let ok = Atomic.make true in
+      let stats =
+        Parmap.sweep ~jobs a (fun w node ->
+            if w < 0 || w >= jobs then Atomic.set ok false;
+            (* Every fanin sits at a lower level, so it was visited
+               before this level started. *)
+            List.iter
+              (fun x -> if x >= 0 && visits.(x) <> 1 then Atomic.set ok false)
+              [ Arena.fanin0 a node; Arena.fanin1 a node ];
+            visits.(node) <- visits.(node) + 1)
+      in
+      check tbool (Printf.sprintf "jobs %d: workers and order" jobs) true
+        (Atomic.get ok);
+      check tbool (Printf.sprintf "jobs %d: each node once" jobs) true
+        (Array.for_all (fun v -> v = 1) visits);
+      check tint (Printf.sprintf "jobs %d: levels" jobs)
+        (Array.fold_left max 0 levels + 1)
+        stats.Parmap.levels)
+    [ 1; 2; 4 ]
+
 (* Drain with nothing submitted must not block, including on a
    size-0 pool (submit refuses, drain is vacuous). *)
 let test_pool_empty_drain () =
@@ -311,5 +363,9 @@ let () =
             test_pool_lifecycle;
           Alcotest.test_case "failing jobs are isolated" `Quick
             test_pool_job_isolation;
+          Alcotest.test_case "failing barrier task re-raised" `Quick
+            test_pool_barrier_exception;
+          Alcotest.test_case "sweep visits each node once" `Quick
+            test_sweep_visits;
           Alcotest.test_case "empty and size-0 drains" `Quick
             test_pool_empty_drain ] ) ]

@@ -39,11 +39,11 @@ let map_row db g circuit =
   let dag, dag_cpu = Clock.time (fun () -> Mapper.map Mapper.Dag db g) in
   let verified =
     let n_inputs = List.length (Subject.pi_ids g) in
+    let sim_subject = Simulate.subject g in
     let ok r =
       Equiv.is_equivalent
-        (Equiv.compare_sims ~rounds:4 ~n_inputs
-           (fun words -> Simulate.subject g words)
-           (fun words -> Simulate.netlist r.Mapper.netlist words))
+        (Equiv.compare_sims ~rounds:4 ~n_inputs sim_subject
+           (Simulate.netlist r.Mapper.netlist))
     in
     ok tree && ok dag
   in
@@ -521,9 +521,8 @@ let run_super_section () =
           let n_inputs = List.length (Subject.pi_ids g) in
           let equiv =
             Equiv.is_equivalent
-              (Equiv.compare_sims ~rounds:4 ~n_inputs
-                 (fun w -> Simulate.subject g w)
-                 (fun w -> Simulate.netlist ra.Mapper.netlist w))
+              (Equiv.compare_sims ~rounds:4 ~n_inputs (Simulate.subject g)
+                 (Simulate.netlist ra.Mapper.netlist))
           in
           Printf.printf
             "  %-8s | %6.2f -> %5.2f | %+6.1f%% | %6.0f -> %5.0f | %7.2f | \
@@ -815,6 +814,7 @@ let run_json_huge nodes jobs out_file =
     Check.structural r.Mapper.netlist = []
     && Check.delay ~predicted:(Mapper.predicted_arrivals r) r.Mapper.netlist
        = []
+    && Check.functional g r.Mapper.netlist = []
   in
   Printf.printf
     "  mapped in %.1fs wall / %.1fs cpu: delay=%.2f area=%.0f gates=%d \
@@ -886,6 +886,7 @@ let run_json_huge nodes jobs out_file =
            (Dagmap_cutmap.Cut_mapper.predicted_arrivals rc)
          rc.Dagmap_cutmap.Cut_mapper.netlist
        = []
+    && Check.functional g rc.Dagmap_cutmap.Cut_mapper.netlist = []
   in
   let cut_delay = Netlist.delay rc.Dagmap_cutmap.Cut_mapper.netlist in
   Printf.printf

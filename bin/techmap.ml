@@ -309,9 +309,7 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
   if verify then begin
     let n_inputs = List.length (Subject.pi_ids sg) in
     let verdict =
-      Equiv.compare_sims ~n_inputs
-        (fun words -> Simulate.subject sg words)
-        (fun words -> Simulate.netlist nl words)
+      Equiv.compare_sims ~n_inputs (Simulate.subject sg) (Simulate.netlist nl)
     in
     Format.printf "equivalence: %a@." Equiv.pp_verdict verdict;
     if not (Equiv.is_equivalent verdict) then exit 2
@@ -510,8 +508,7 @@ let run_fpga circuit k out_file verify =
   if verify then begin
     let n_inputs = List.length (Subject.pi_ids sg) in
     let verdict =
-      Equiv.compare_sims ~n_inputs
-        (fun words -> Simulate.subject sg words)
+      Equiv.compare_sims ~n_inputs (Simulate.subject sg)
         (fun words ->
           (* Bit-level fallback: FlowMap eval is bool-based. *)
           let lanes = Array.make 64 [] in

@@ -301,9 +301,17 @@ let write_network net =
   Buffer.add_string buf ".end\n";
   Buffer.contents buf
 
+(* A written instance or output alias takes about 40 bytes. Sizing
+   the buffer up front spares the copies (and the transient old plus
+   new buffers) of growing it by doubling, which on a large netlist
+   set the writer's memory high-water mark. *)
 let write_netlist nl =
   let g = nl.Netlist.source in
-  let buf = Buffer.create 4096 in
+  let buf =
+    Buffer.create
+      (4096
+      + (64 * (Array.length nl.Netlist.instances + List.length nl.Netlist.outputs)))
+  in
   Buffer.add_string buf ".model mapped\n";
   let pi_name id = Printf.sprintf "%s" g.Subject.names.(id) in
   let pis = Subject.pi_ids g in

@@ -141,9 +141,8 @@ let delay ?(epsilon = 1e-6) ~predicted nl =
 let functional ?(rounds = 16) ?seed g nl =
   let n_inputs = List.length (Subject.pi_ids g) in
   let verdict =
-    Equiv.compare_sims ~rounds ?seed ~n_inputs
-      (fun words -> Simulate.subject g words)
-      (fun words -> Simulate.netlist nl words)
+    Equiv.compare_sims ~rounds ?seed ~n_inputs (Simulate.subject g)
+      (Simulate.netlist nl)
   in
   if Equiv.is_equivalent verdict then [] else [ Not_equivalent verdict ]
 

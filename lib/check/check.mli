@@ -53,7 +53,8 @@ val functional :
   ?rounds:int -> ?seed:int -> Subject.t -> Netlist.t -> issue list
 (** Functional audit: 64-lane random-simulation equivalence of the
     mapped netlist against the subject graph
-    ({!Equiv.compare_sims}; [rounds] defaults to 16). *)
+    ({!Equiv.compare_sims}; [rounds] defaults to 16). Stages each
+    simulator once per call ({!Simulate}). *)
 
 val audit :
   ?epsilon:float ->
@@ -65,7 +66,7 @@ val audit :
   issue list
 (** All three auditors. When the structural audit fails its issues
     are returned alone — timing and simulation are undefined on a
-    malformed netlist (a cycle would hang the simulator). *)
+    malformed netlist. *)
 
 val audit_result :
   ?epsilon:float ->

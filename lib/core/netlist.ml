@@ -28,42 +28,48 @@ let num_gates nl = Array.length nl.instances
 
 (* Instances are not necessarily stored topologically (cover
    construction emits them outputs-first), so order them explicitly.
-   Explicit stack: instance chains can be deeper than the OCaml call
-   stack allows. A gray (pre- but not post-visited) fanin seen while
-   expanding a node is a back edge, i.e. a cycle. *)
-let topological_instances nl =
+   Depth-first over fanins with an explicit stack: instance chains can
+   be deeper than the OCaml call stack allows. Entry [2i] pre-visits
+   instance [i]: it pushes the post-visit entry [2i+1], then the
+   unvisited fanins in pin order, so an instance lands in the order
+   only after all its fanins. A gray (pre- but not post-visited)
+   fanin seen while expanding a node is a back edge, i.e. a cycle. *)
+let topological_order nl =
   let n = Array.length nl.instances in
   let state = Array.make n 0 in
-  let order = ref [] in
+  let order = Array.make n 0 in
+  let filled = ref 0 in
   let stack = Stack.create () in
   for root = 0 to n - 1 do
     if state.(root) = 0 then begin
-      Stack.push (root, false) stack;
+      Stack.push (2 * root) stack;
       while not (Stack.is_empty stack) do
-        let i, post = Stack.pop stack in
-        if post then begin
+        let e = Stack.pop stack in
+        let i = e lsr 1 in
+        if e land 1 = 1 then begin
           state.(i) <- 2;
-          order := i :: !order
+          order.(!filled) <- i;
+          incr filled
         end
         else if state.(i) = 0 then begin
           state.(i) <- 1;
-          Stack.push (i, true) stack;
+          Stack.push ((2 * i) + 1) stack;
           Array.iter
             (function
               | D_gate j ->
                 if state.(j) = 1 then failwith "Netlist: instance cycle"
-                else if state.(j) = 0 then Stack.push (j, false) stack
+                else if state.(j) = 0 then Stack.push (2 * j) stack
               | D_pi _ | D_const _ -> ())
             nl.instances.(i).inputs
         end
       done
     end
   done;
-  List.rev !order
+  order
 
 let arrival_times nl =
   let arrival = Array.make (Array.length nl.instances) 0.0 in
-  List.iter
+  Array.iter
     (fun i ->
       let inst = nl.instances.(i) in
       let worst = ref 0.0 in
@@ -78,7 +84,7 @@ let arrival_times nl =
             Float.max !worst (input_arrival +. Gate.intrinsic_delay inst.gate pin))
         inst.inputs;
       arrival.(i) <- !worst)
-    (topological_instances nl);
+    (topological_order nl);
   arrival
 
 let driver_arrival arrival = function
@@ -123,12 +129,12 @@ let eval nl assignment =
     | D_pi id -> Hashtbl.find pi_value id
     | D_gate j -> value.(j)
   in
-  List.iter
+  Array.iter
     (fun i ->
       let inst = nl.instances.(i) in
       let inputs = Array.map driver_value inst.inputs in
       value.(i) <- Truth.eval inst.gate.Gate.func inputs)
-    (topological_instances nl);
+    (topological_order nl);
   List.map (fun (name, d) -> (name, driver_value d)) nl.outputs
 
 let max_fanout nl =
@@ -172,8 +178,8 @@ let lint nl =
   List.iter (fun (name, d) -> check_driver ("output " ^ name) d) nl.outputs;
   (* Cycle check only once the drivers are known to be in range. *)
   if !issues = [] then begin
-    match topological_instances nl with
-    | (_ : int list) -> ()
+    match topological_order nl with
+    | (_ : int array) -> ()
     | exception Failure m -> report "%s" m
   end;
   List.rev !issues

@@ -31,6 +31,14 @@ type t = {
 val area : t -> float
 val num_gates : t -> int
 
+val topological_order : t -> int array
+(** Every instance index once, each after the instances that drive
+    it: the depth-first post-order over fanins from roots [0 .. n-1],
+    visiting a node's last pin first. The one instance order of
+    STA, delay, evaluation, lint and simulation. Iterative, so safe
+    on instance chains of any depth. Raises [Failure] on an instance
+    cycle. *)
+
 val arrival_times : t -> float array
 (** Arrival time at each instance output (PIs arrive at 0). *)
 

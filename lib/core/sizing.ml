@@ -40,33 +40,12 @@ let arc_delay gate pin ~size ~load =
   let fall = p.Gate.fall_block +. (p.Gate.fall_fanout /. size *. load) in
   Float.max rise fall
 
-let topological nl =
-  let n = Array.length nl.Netlist.instances in
-  let state = Array.make n 0 in
-  let order = ref [] in
-  let rec visit i =
-    if state.(i) = 0 then begin
-      state.(i) <- 1;
-      Array.iter
-        (function
-          | Netlist.D_gate j -> visit j
-          | Netlist.D_pi _ | Netlist.D_const _ -> ())
-        nl.Netlist.instances.(i).Netlist.inputs;
-      state.(i) <- 2;
-      order := i :: !order
-    end
-  in
-  for i = 0 to n - 1 do
-    visit i
-  done;
-  List.rev !order
-
 let loaded_delay ?sizes ?(output_load = 1.0) nl =
   let n = Array.length nl.Netlist.instances in
   let sizes = match sizes with Some s -> s | None -> Array.make n 1.0 in
   let loads = instance_loads nl output_load in
   let arrival = Array.make n 0.0 in
-  List.iter
+  Array.iter
     (fun i ->
       let inst = nl.Netlist.instances.(i) in
       let worst = ref 0.0 in
@@ -83,7 +62,7 @@ let loaded_delay ?sizes ?(output_load = 1.0) nl =
           worst := Float.max !worst (input_arrival +. d_arc))
         inst.Netlist.inputs;
       arrival.(i) <- !worst)
-    (topological nl);
+    (Netlist.topological_order nl);
   List.fold_left
     (fun acc (_, d) ->
       match d with

@@ -17,47 +17,13 @@ type report = {
   critical_path : path_element list;
 }
 
-(* Depth-first with an explicit stack: netlists can be chains of
-   10^5+ instances (the test suite drives one), far past the limit of
-   a recursive visit. Each entry carries a phase bit: pre-visit
-   pushes the post-visit entry then the unvisited fanins, so an
-   instance lands in the order only after all its fanins. *)
-let topological nl =
-  let n = Array.length nl.Netlist.instances in
-  let state = Array.make n 0 in
-  let order = ref [] in
-  let stack = Stack.create () in
-  for root = 0 to n - 1 do
-    if state.(root) = 0 then begin
-      Stack.push (root, false) stack;
-      while not (Stack.is_empty stack) do
-        let i, post = Stack.pop stack in
-        if post then begin
-          state.(i) <- 2;
-          order := i :: !order
-        end
-        else if state.(i) = 0 then begin
-          state.(i) <- 1;
-          Stack.push (i, true) stack;
-          Array.iter
-            (function
-              | Netlist.D_gate j when state.(j) = 0 ->
-                Stack.push (j, false) stack
-              | Netlist.D_gate _ | Netlist.D_pi _ | Netlist.D_const _ -> ())
-            nl.Netlist.instances.(i).Netlist.inputs
-        end
-      done
-    end
-  done;
-  List.rev !order
-
 let analyze ?required_time nl =
   let n = Array.length nl.Netlist.instances in
-  let order = topological nl in
+  let order = Netlist.topological_order nl in
   let arrival = Array.make n 0.0 in
   (* Arrival pass, remembering each instance's critical input pin. *)
   let critical_pin = Array.make n (-1) in
-  List.iter
+  Array.iter
     (fun i ->
       let inst = nl.Netlist.instances.(i) in
       Array.iteri
@@ -94,19 +60,19 @@ let analyze ?required_time nl =
       | Netlist.D_gate j -> required.(j) <- Float.min required.(j) rt
       | Netlist.D_pi _ | Netlist.D_const _ -> ())
     nl.Netlist.outputs;
-  List.iter
-    (fun i ->
-      let inst = nl.Netlist.instances.(i) in
-      Array.iteri
-        (fun pin d ->
-          match d with
-          | Netlist.D_gate j ->
-            required.(j) <-
-              Float.min required.(j)
-                (required.(i) -. Gate.intrinsic_delay inst.Netlist.gate pin)
-          | Netlist.D_pi _ | Netlist.D_const _ -> ())
-        inst.Netlist.inputs)
-    (List.rev order);
+  for t = n - 1 downto 0 do
+    let i = order.(t) in
+    let inst = nl.Netlist.instances.(i) in
+    Array.iteri
+      (fun pin d ->
+        match d with
+        | Netlist.D_gate j ->
+          required.(j) <-
+            Float.min required.(j)
+              (required.(i) -. Gate.intrinsic_delay inst.Netlist.gate pin)
+        | Netlist.D_pi _ | Netlist.D_const _ -> ())
+      inst.Netlist.inputs
+  done;
   let slack = Array.init n (fun i -> required.(i) -. arrival.(i)) in
   (* Critical path: walk back from the worst output through critical
      pins. *)

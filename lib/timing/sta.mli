@@ -21,9 +21,10 @@ type report = {
 }
 
 val analyze : ?required_time:float -> Netlist.t -> report
-(** [analyze nl] runs arrival and required propagation. The default
-    required time at every output is the worst arrival (so the
-    critical path has zero slack). *)
+(** [analyze nl] runs arrival and required propagation in
+    {!Netlist.topological_order}. The default required time at every
+    output is the worst arrival (so the critical path has zero
+    slack). Raises [Failure] on an instance cycle. *)
 
 val num_critical : report -> float -> int
 (** Instances with slack below the given threshold. *)

@@ -345,8 +345,7 @@ let test_deep_chain_100k () =
   check tint "chain depth" depth (Arena.depth a);
   let db = Matchdb.prepare (Libraries.minimal ()) in
   let seq = Mapper.map_arena ~subject:g Mapper.Dag db a in
-  check tbool "chain100k audit clean" true
-    (Check.audit_result ~rounds:2 g seq = []);
+  check tbool "chain100k audit clean" true (Check.audit_result g seq = []);
   (* Chunking stress: 100k levels of width ~1 through the parallel
      labeler — every level is below the fan-out threshold, so the
      whole sweep must run on the calling domain with zero cursor
@@ -371,8 +370,7 @@ let test_soc_end_to_end () =
   check tbool "soc arena = subject" true (same_arena a (Arena.of_subject g));
   let db = Matchdb.prepare (Libraries.lib2_like ()) in
   let am = Mapper.map_arena ~subject:g Mapper.Dag db a in
-  check tbool "soc60k audit clean" true
-    (Check.audit_result ~rounds:2 g am = [])
+  check tbool "soc60k audit clean" true (Check.audit_result g am = [])
 
 let million_case name build =
   if not (huge_enabled ()) then
@@ -388,13 +386,14 @@ let million_case name build =
       (fun jobs ->
         let r = Mapper.map_arena ~jobs ~subject:g Mapper.Dag db a in
         let tag = Printf.sprintf "%s jobs=%d" name jobs in
-        (* Check.lint + delay audit, no stack overflow. (Functional
-           sim is exercised at the 60k tier.) *)
+        (* All three audits, no stack overflow. *)
         check tbool (tag ^ " structural") true
           (Check.structural r.Mapper.netlist = []);
         check tbool (tag ^ " delay audit") true
           (Check.delay ~predicted:(Mapper.predicted_arrivals r) r.Mapper.netlist
-           = []))
+           = []);
+        check tbool (tag ^ " functional audit") true
+          (Check.functional g r.Mapper.netlist = []))
       [ 1; 4 ]
   end
 

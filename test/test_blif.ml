@@ -195,6 +195,60 @@ let test_write_netlist_gates () =
   in
   check tint "gate line count" (Netlist.num_gates nl) count_gates
 
+let test_write_netlist_golden () =
+  (* Byte for byte: constant drivers on pins and outputs, and outputs
+     aliased to an instance, a PI and a constant. *)
+  let bld = Subject.Builder.create () in
+  let a = Subject.Builder.pi bld "a" in
+  let b = Subject.Builder.pi bld "b" in
+  Subject.Builder.output bld "o" (Subject.Builder.nand bld a b);
+  let g = Subject.Builder.finish bld in
+  let pins names = Array.map Gate.simple_pin names in
+  let nand2 =
+    Gate.make ~name:"nand2" ~area:2.0 ~output_name:"Y" ~pins:(pins [| "A"; "B" |])
+      Bexpr.(not_ (and2 (var 0) (var 1)))
+  in
+  let inv =
+    Gate.make ~name:"inv" ~area:1.0 ~pins:(pins [| "A" |]) Bexpr.(not_ (var 0))
+  in
+  let inst inst_id gate inputs =
+    { Netlist.inst_id; gate; inputs; subject_root = 0; covers = [||] }
+  in
+  let nl =
+    { Netlist.source = g;
+      instances =
+        [| inst 0 nand2 [| Netlist.D_pi a; Netlist.D_const true |];
+           inst 1 inv [| Netlist.D_gate 0 |];
+           inst 2 nand2 [| Netlist.D_gate 1; Netlist.D_const false |] |];
+      outputs =
+        [ ("w1", Netlist.D_gate 1);
+          ("x", Netlist.D_gate 2);
+          ("pa", Netlist.D_pi a);
+          ("b", Netlist.D_pi b);
+          ("k1", Netlist.D_const true);
+          ("k0", Netlist.D_const false) ] }
+  in
+  check Alcotest.string "golden"
+    ".model mapped\n\
+     .inputs a b\n\
+     .outputs w1 x pa b k1 k0\n\
+     .names $const0\n\
+     .names $const1\n\
+     1\n\
+     .gate nand2 A=a B=$const1 Y=w0\n\
+     .gate inv A=w0 O=w1\n\
+     .gate nand2 A=w1 B=$const0 Y=w2\n\
+     .names w2 x\n\
+     1 1\n\
+     .names a pa\n\
+     1 1\n\
+     .names $const1 k1\n\
+     1 1\n\
+     .names $const0 k0\n\
+     1 1\n\
+     .end\n"
+    (Blif.write_netlist nl)
+
 (* --- Verilog export --------------------------------------------------- *)
 
 let count_lines pred text =
@@ -270,7 +324,8 @@ let () =
           Alcotest.test_case "read file" `Quick test_read_file ] );
       ( "writer",
         [ Alcotest.test_case "roundtrip" `Quick test_write_read_roundtrip;
-          Alcotest.test_case "netlist gates" `Quick test_write_netlist_gates ] );
+          Alcotest.test_case "netlist gates" `Quick test_write_netlist_gates;
+          Alcotest.test_case "netlist golden" `Quick test_write_netlist_golden ] );
       ( "verilog",
         [ Alcotest.test_case "netlist export" `Quick test_verilog_netlist;
           Alcotest.test_case "latches" `Quick test_verilog_network_with_latches;

@@ -121,6 +121,67 @@ let test_functional_catches_wrong_circuit () =
   | [ Check.Not_equivalent _ ] -> ()
   | _ -> Alcotest.fail "expected a functional issue against the wrong subject"
 
+let test_functional_catches_flipped_minterm () =
+  (* Mutation: give one instance whose pins are distinct primary
+     inputs and whose output is a primary output a gate that differs
+     in exactly one minterm. The functional audit must fire. *)
+  let db = Lazy.force the_db in
+  (* Product bit 0 of the multiplier is an AND of two inputs. *)
+  let g = Subject.of_network (Generators.array_multiplier 3) in
+  let nl = (Mapper.map Mapper.Dag db g).Mapper.netlist in
+  let candidate i (inst : Netlist.instance) =
+    let pis =
+      Array.to_list inst.Netlist.inputs
+      |> List.filter_map (function Netlist.D_pi id -> Some id | _ -> None)
+    in
+    List.length pis = Gate.num_pins inst.Netlist.gate
+    && List.length (List.sort_uniq compare pis) = List.length pis
+    && Gate.num_pins inst.Netlist.gate >= 2
+    && List.exists (fun (_, d) -> d = Netlist.D_gate i) nl.Netlist.outputs
+  in
+  let victim =
+    let rec find i =
+      if i >= Array.length nl.Netlist.instances then
+        Alcotest.fail "no instance on primary inputs drives an output"
+      else if candidate i nl.Netlist.instances.(i) then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let gate = nl.Netlist.instances.(victim).Netlist.gate in
+  let k = Gate.num_pins gate in
+  (* Minterm 1 (pin 0 high, the rest low) is absent from both
+     all-zero and all-one extreme rounds. *)
+  let flipped m = Truth.get_bit gate.Gate.func m <> (m = 1) in
+  let cubes =
+    List.init (1 lsl k) Fun.id
+    |> List.filter flipped
+    |> List.map (fun m -> List.init k (fun v -> (v, (m lsr v) land 1 = 1)))
+  in
+  let mutant =
+    Gate.make ~name:(gate.Gate.gate_name ^ "_flip") ~area:gate.Gate.area
+      ~pins:gate.Gate.pins (Bexpr.of_cubes cubes)
+  in
+  for m = 0 to (1 lsl k) - 1 do
+    check tbool
+      (Printf.sprintf "mutant minterm %d" m)
+      (flipped m)
+      (Truth.get_bit mutant.Gate.func m)
+  done;
+  check tint "clean before the mutation" 0
+    (List.length (Check.functional g nl));
+  let mutated =
+    { nl with
+      Netlist.instances =
+        Array.mapi
+          (fun i inst ->
+            if i = victim then { inst with Netlist.gate = mutant } else inst)
+          nl.Netlist.instances }
+  in
+  match Check.functional g mutated with
+  | [ Check.Not_equivalent _ ] -> ()
+  | _ -> Alcotest.fail "a one-minterm mutation escaped the functional audit"
+
 (* QCheck: on random circuits, under every mode, sequential or
    parallel labeling, the full audit is clean — per-output STA arrival
    equals the mapper's label and the cover is simulation-equivalent. *)
@@ -203,6 +264,8 @@ let () =
             test_delay_audit_is_per_output;
           Alcotest.test_case "wrong circuit" `Quick
             test_functional_catches_wrong_circuit;
+          Alcotest.test_case "flipped minterm" `Quick
+            test_functional_catches_flipped_minterm;
           QCheck_alcotest.to_alcotest qc_audit_random ] );
       ( "fuzz",
         [ Alcotest.test_case "clean sweep" `Quick test_fuzz_clean;

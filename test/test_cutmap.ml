@@ -170,8 +170,8 @@ let test_mapper_equivalence () =
           let verdict =
             Equiv.compare_sims ~rounds:6
               ~n_inputs:(List.length (Subject.pi_ids g))
-              (fun words -> Simulate.subject g words)
-              (fun words -> Simulate.netlist r.Cut_mapper.netlist words)
+              (Simulate.subject g)
+              (Simulate.netlist r.Cut_mapper.netlist)
           in
           if not (Equiv.is_equivalent verdict) then
             Alcotest.failf "%s/%s: %s" name lib.Libraries.lib_name
@@ -333,8 +333,8 @@ let qc_cut_mapping_equivalence =
       Equiv.is_equivalent
         (Equiv.compare_sims ~rounds:3
            ~n_inputs:(List.length (Subject.pi_ids g))
-           (fun words -> Simulate.subject g words)
-           (fun words -> Simulate.netlist r.Cut_mapper.netlist words)))
+           (Simulate.subject g)
+           (Simulate.netlist r.Cut_mapper.netlist)))
 
 let qc_cuts_valid_in_circuit =
   QCheck.Test.make ~count:10 ~name:"random circuit cut functions valid"

@@ -58,8 +58,8 @@ let test_area_recovery_equivalence () =
       let verdict =
         Equiv.compare_sims ~rounds:6
           ~n_inputs:(List.length (Subject.pi_ids g))
-          (fun words -> Simulate.subject g words)
-          (fun words -> Simulate.netlist recovered words)
+          (Simulate.subject g)
+          (Simulate.netlist recovered)
       in
       if not (Equiv.is_equivalent verdict) then
         Alcotest.failf "%s: %s" name
@@ -121,8 +121,8 @@ let test_buffering_preserves_function () =
   let buffered = Buffering.buffer_fanouts lib ~max_fanout:3 nl in
   let verdict =
     Equiv.compare_sims ~rounds:6 ~n_inputs:(List.length (Subject.pi_ids g))
-      (fun words -> Simulate.netlist nl words)
-      (fun words -> Simulate.netlist buffered words)
+      (Simulate.netlist nl)
+      (Simulate.netlist buffered)
   in
   check tbool "buffered netlist equivalent" true (Equiv.is_equivalent verdict)
 
@@ -155,8 +155,8 @@ let test_buffering_with_inverter_pairs () =
     (Netlist.max_fanout buffered <= 4);
   let verdict =
     Equiv.compare_sims ~rounds:4 ~n_inputs:(List.length (Subject.pi_ids g))
-      (fun words -> Simulate.netlist nl words)
-      (fun words -> Simulate.netlist buffered words)
+      (Simulate.netlist nl)
+      (Simulate.netlist buffered)
   in
   check tbool "still equivalent" true (Equiv.is_equivalent verdict)
 
@@ -232,7 +232,7 @@ let test_styles_preserve_function () =
       let verdict =
         Dagmap_sim.Equiv.compare_sims ~rounds:4 ~n_inputs:n
           (fun words -> Dagmap_sim.Simulate.network net words)
-          (fun words -> Dagmap_sim.Simulate.subject g words)
+          (Dagmap_sim.Simulate.subject g)
       in
       check tbool "style preserves function" true
         (Dagmap_sim.Equiv.is_equivalent verdict))
@@ -261,8 +261,8 @@ let qc_area_recovery_safe =
       && Equiv.is_equivalent
            (Equiv.compare_sims ~rounds:3
               ~n_inputs:(List.length (Subject.pi_ids g))
-              (fun words -> Simulate.subject g words)
-              (fun words -> Simulate.netlist recovered words)))
+              (Simulate.subject g)
+              (Simulate.netlist recovered)))
 
 let qc_buffering_safe =
   QCheck.Test.make ~count:15 ~name:"buffering: bound respected, equivalent"
@@ -278,8 +278,8 @@ let qc_buffering_safe =
       && Equiv.is_equivalent
            (Equiv.compare_sims ~rounds:3
               ~n_inputs:(List.length (Subject.pi_ids g))
-              (fun words -> Simulate.netlist nl words)
-              (fun words -> Simulate.netlist buffered words)))
+              (Simulate.netlist nl)
+              (Simulate.netlist buffered)))
 
 let qc_styles_equivalent =
   QCheck.Test.make ~count:15 ~name:"decomposition styles: all equivalent"
@@ -295,7 +295,7 @@ let qc_styles_equivalent =
         (Equiv.compare_sims ~rounds:3
            ~n_inputs:(List.length (Subject.pi_ids g))
            (fun words -> Simulate.network net words)
-           (fun words -> Simulate.subject g words)))
+           (Simulate.subject g)))
 
 let () =
   Alcotest.run "extensions"

@@ -81,8 +81,8 @@ let test_equivalence () =
               let r = Mapper.map mode db g in
               let verdict =
                 Equiv.compare_sims ~rounds:8 ~n_inputs
-                  (fun words -> Simulate.subject g words)
-                  (fun words -> Simulate.netlist r.Mapper.netlist words)
+                  (Simulate.subject g)
+                  (Simulate.netlist r.Mapper.netlist)
               in
               if not (Equiv.is_equivalent verdict) then
                 Alcotest.failf "%s/%s/%s: %s" cname lib.Libraries.lib_name
@@ -409,8 +409,8 @@ let qc_mapping_equivalence =
       let verdict =
         Equiv.compare_sims ~rounds:4
           ~n_inputs:(List.length (Subject.pi_ids g))
-          (fun words -> Simulate.subject g words)
-          (fun words -> Simulate.netlist r.Mapper.netlist words)
+          (Simulate.subject g)
+          (Simulate.netlist r.Mapper.netlist)
       in
       Equiv.is_equivalent verdict)
 

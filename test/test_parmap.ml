@@ -65,8 +65,8 @@ let qc_parallel_identical =
               let par = Mapper.map ~jobs mode db g in
               Equiv.is_equivalent
                 (Equiv.compare_sims ~rounds:4 ~n_inputs
-                   (fun words -> Simulate.subject g words)
-                   (fun words -> Simulate.netlist par.Mapper.netlist words)))
+                   (Simulate.subject g)
+                   (Simulate.netlist par.Mapper.netlist)))
             jobs_list)
         Oracle.modes)
 

@@ -168,8 +168,8 @@ let test_seq_map_pipelined_parity () =
   let verdict =
     Equiv.compare_sims
       ~n_inputs:(List.length (Dagmap_subject.Subject.pi_ids g))
-      (fun words -> Simulate.subject g words)
-      (fun words -> Simulate.netlist r.Seq_map.netlist words)
+      (Simulate.subject g)
+      (Simulate.netlist r.Seq_map.netlist)
   in
   check tbool "mapped core equivalent" true (Equiv.is_equivalent verdict)
 

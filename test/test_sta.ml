@@ -124,6 +124,39 @@ let test_deep_chain () =
   (* An even number of inversions is the identity. *)
   check tbool "simulates through" true (Int64.equal (List.assoc "o" out) word)
 
+let test_cycle_raises () =
+  (* A cyclic netlist has no arrival times: STA must fail instead of
+     reading arrivals of fanins it has not visited yet. Close a loop
+     through an instance and the instance that drives it. *)
+  let nl = mapped_example () in
+  let user, driver =
+    let rec find i =
+      match
+        Array.find_opt
+          (function Netlist.D_gate _ -> true | _ -> false)
+          nl.Netlist.instances.(i).Netlist.inputs
+      with
+      | Some (Netlist.D_gate j) -> (i, j)
+      | _ -> find (i + 1)
+    in
+    find 0
+  in
+  let instances =
+    Array.mapi
+      (fun i inst ->
+        if i <> driver then inst
+        else
+          { inst with
+            Netlist.inputs =
+              Array.mapi
+                (fun pin d -> if pin = 0 then Netlist.D_gate user else d)
+                inst.Netlist.inputs })
+      nl.Netlist.instances
+  in
+  match Sta.analyze { nl with Netlist.instances } with
+  | exception Failure _ -> ()
+  | (_ : Sta.report) -> Alcotest.fail "STA accepted a cyclic netlist"
+
 let test_pp_path_renders () =
   let nl = mapped_example () in
   let report = Sta.analyze nl in
@@ -140,4 +173,5 @@ let () =
           Alcotest.test_case "relaxed required" `Quick test_relaxed_required_time;
           Alcotest.test_case "num critical" `Quick test_num_critical_counts;
           Alcotest.test_case "deep chain" `Quick test_deep_chain;
+          Alcotest.test_case "cycle raises" `Quick test_cycle_raises;
           Alcotest.test_case "pp path" `Quick test_pp_path_renders ] ) ]

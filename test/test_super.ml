@@ -103,8 +103,8 @@ let qc_never_worse =
       let equivalent =
         Equiv.is_equivalent
           (Equiv.compare_sims ~rounds:4 ~n_inputs
-             (fun w -> Simulate.subject g w)
-             (fun w -> Simulate.netlist ra.Mapper.netlist w))
+             (Simulate.subject g)
+             (Simulate.netlist ra.Mapper.netlist))
       in
       pointwise && delay_le && equivalent)
 
@@ -131,8 +131,8 @@ let test_strict_improvement_lib2 () =
       check tbool (cname ^ ": augmented netlist equivalent") true
         (Equiv.is_equivalent
            (Equiv.compare_sims ~rounds:6 ~n_inputs
-              (fun w -> Simulate.subject g w)
-              (fun w -> Simulate.netlist ra.Mapper.netlist w)));
+              (Simulate.subject g)
+              (Simulate.netlist ra.Mapper.netlist)));
       if da < db -. 1e-9 then begin
         incr strict_wins;
         (* A strict win must come from supergates actually used. *)

@@ -14,6 +14,7 @@ open Dagmap_core
 open Dagmap_sim
 open Dagmap_circuits
 open Dagmap_obs
+open Dagmap_flow
 
 let hr title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -786,7 +787,7 @@ let run_json_huge nodes jobs out_file =
   Printf.printf "huge tier: %s (generated in %.1fs)\n%!" (Network.stats net)
     gen_wall;
   let blif_path = Filename.temp_file "dagmap_huge" ".blif" in
-  let parsed, parse_wall, arena, build_wall =
+  let parsed, parse_wall, input, build_wall =
     Fun.protect
       ~finally:(fun () -> try Sys.remove blif_path with Sys_error _ -> ())
       (fun () ->
@@ -794,28 +795,35 @@ let run_json_huge nodes jobs out_file =
         output_string oc (Blif.write_network net);
         close_out oc;
         let parsed, parse_wall =
-          Clock.time (fun () -> Blif_stream.read_file blif_path)
+          Clock.time (fun () -> Blif.read_file blif_path)
         in
-        let arena, build_wall =
-          Clock.time (fun () -> Arena.of_network parsed)
-        in
-        (parsed, parse_wall, arena, build_wall))
+        let input, build_wall = Clock.time (fun () -> Flow.decompose parsed) in
+        (parsed, parse_wall, input, build_wall))
   in
+  let arena = input.Flow.arena and g = input.Flow.subject in
   Printf.printf "  parsed %d network nodes in %.1fs (streaming)\n%!"
     (Network.num_nodes parsed) parse_wall;
   Printf.printf "  %s, built in %.1fs\n%!" (Arena.stats arena) build_wall;
-  let g = Arena.to_subject arena in
   let db = Matchdb.prepare (Option.get (Libraries.by_name "44-1")) in
-  let r, map_wall, map_cpu =
-    Clock.time_wall_cpu (fun () ->
-        Mapper.map_arena ~subject:g Mapper.Dag db arena)
+  let audit_clean (r : Flow.result) =
+    Check.audit g ~predicted:r.Flow.predicted r.Flow.netlist = []
   in
-  let clean =
-    Check.structural r.Mapper.netlist = []
-    && Check.delay ~predicted:(Mapper.predicted_arrivals r) r.Mapper.netlist
-       = []
-    && Check.functional g r.Mapper.netlist = []
+  let dag = Flow.Pattern Mapper.Dag
+  and cut = Flow.Cut { priority = Flow.default_cut_priority } in
+  let pattern_run (r : Flow.result) =
+    match r.Flow.run with
+    | Flow.Pattern_run p -> p
+    | Flow.Cut_run _ -> invalid_arg "pattern_run"
+  and cut_run (r : Flow.result) =
+    match r.Flow.run with
+    | Flow.Cut_run c -> c
+    | Flow.Pattern_run _ -> invalid_arg "cut_run"
   in
+  let fr, map_wall, map_cpu =
+    Clock.time_wall_cpu (fun () -> Flow.map dag db input)
+  in
+  let r = pattern_run fr in
+  let clean = audit_clean fr in
   Printf.printf
     "  mapped in %.1fs wall / %.1fs cpu: delay=%.2f area=%.0f gates=%d \
      check=%s\n%!"
@@ -824,14 +832,31 @@ let run_json_huge nodes jobs out_file =
     (Netlist.area r.Mapper.netlist)
     (Netlist.num_gates r.Mapper.netlist)
     (if clean then "ok" else "FAIL");
+  (* The row is built here, before the parallel and cut sections run,
+     so its peak_rss_bytes is the dag map's high-water mark and not
+     the cut engine's. *)
+  let row =
+    bench_row
+      ~extra:
+        [ ("tier", Json.String "huge");
+          ("network_nodes", Json.Int nodes);
+          ("subject_nodes", Json.Int (Arena.num_nodes arena));
+          ("generate_seconds", Json.Float gen_wall);
+          ("parse_seconds", Json.Float parse_wall);
+          ("arena_build_seconds", Json.Float build_wall);
+          ("arena_mem_bytes", Json.Int (Arena.mem_bytes arena));
+          ("check_clean", Json.Bool clean) ]
+      ~circuit:(Printf.sprintf "soc%d" nodes)
+      ~library:"44-1" ~mode:"dag" r.Mapper.netlist ~wall:map_wall ~cpu:map_cpu
+      ()
+  in
   (* Arena-parallel labeling over the same arena: the speedup the
      flat core exists for. Identity to the sequential arena result is
      a hard gate (bit-equal labels, same cover); the wall/speedup
      numbers are report-only — they measure the machine's core count
      as much as the code. *)
   let rpar, par_wall, par_cpu =
-    Clock.time_wall_cpu (fun () ->
-        Mapper.map_arena ~jobs ~subject:g Mapper.Dag db arena)
+    Clock.time_wall_cpu (fun () -> pattern_run (Flow.map ~jobs dag db input))
   in
   let par_stats = rpar.Mapper.par in
   let par_identical =
@@ -867,28 +892,15 @@ let run_json_huge nodes jobs out_file =
      [jobs]-parallel enumeration. Parity is a hard exit gate exactly
      like the structural labeler's; the delay delta vs the dag row is
      report-only (the cut engine is a pruned heuristic). *)
-  let bdb = Matchdb.boolean db in
-  let (rc, _), cut_wall, cut_cpu =
-    Clock.time_wall_cpu (fun () ->
-        Dagmap_cutmap.Cut_mapper.map_arena ~jobs:1 ~priority:8 ~subject:g bdb
-          arena)
+  let fc, cut_wall, cut_cpu =
+    Clock.time_wall_cpu (fun () -> Flow.map cut db input)
   in
-  let (rcp, cut_par_stats), cut_par_wall =
-    Clock.time (fun () ->
-        Dagmap_cutmap.Cut_mapper.map_arena ~jobs ~priority:8 ~subject:g bdb
-          arena)
-  in
-  let cut_identical = same_cut_result rcp rc in
-  let cut_clean =
-    Check.structural rc.Dagmap_cutmap.Cut_mapper.netlist = []
-    && Check.delay
-         ~predicted:
-           (Dagmap_cutmap.Cut_mapper.predicted_arrivals rc)
-         rc.Dagmap_cutmap.Cut_mapper.netlist
-       = []
-    && Check.functional g rc.Dagmap_cutmap.Cut_mapper.netlist = []
-  in
-  let cut_delay = Netlist.delay rc.Dagmap_cutmap.Cut_mapper.netlist in
+  let fcp, cut_par_wall = Clock.time (fun () -> Flow.map ~jobs cut db input) in
+  let rc = cut_run fc in
+  let cut_identical = same_cut_result (cut_run fcp) rc in
+  let cut_clean = audit_clean fc in
+  let cut_delay = Netlist.delay fc.Flow.netlist in
+  let cut_peak_rss = Resource.peak_rss_bytes () in
   Printf.printf
     "  cut (priority=8): %.1fs seq / %.1fs jobs=%d, delay=%.2f \
      (dag %.2f), %d matches evaluated, identical=%b check=%s\n%!"
@@ -912,25 +924,11 @@ let run_json_huge nodes jobs out_file =
         ("cpu_seconds", Json.Float cut_cpu);
         ("parallel_wall_seconds", Json.Float cut_par_wall);
         ( "parallel_levels",
-          Json.Int cut_par_stats.Parmap.parallel_levels );
-        ("chunks", Json.Int cut_par_stats.Parmap.chunks);
+          Json.Int fcp.Flow.par.Parmap.parallel_levels );
+        ("chunks", Json.Int fcp.Flow.par.Parmap.chunks);
         ("identical", Json.Bool cut_identical);
-        ("check_clean", Json.Bool cut_clean) ]
-  in
-  let row =
-    bench_row
-      ~extra:
-        [ ("tier", Json.String "huge");
-          ("network_nodes", Json.Int nodes);
-          ("subject_nodes", Json.Int (Arena.num_nodes arena));
-          ("generate_seconds", Json.Float gen_wall);
-          ("parse_seconds", Json.Float parse_wall);
-          ("arena_build_seconds", Json.Float build_wall);
-          ("arena_mem_bytes", Json.Int (Arena.mem_bytes arena));
-          ("check_clean", Json.Bool clean) ]
-      ~circuit:(Printf.sprintf "soc%d" nodes)
-      ~library:"44-1" ~mode:"dag" r.Mapper.netlist ~wall:map_wall ~cpu:map_cpu
-      ()
+        ("check_clean", Json.Bool cut_clean);
+        ("peak_rss_bytes", Json.Int cut_peak_rss) ]
   in
   let doc =
     Json.Obj
@@ -1214,8 +1212,8 @@ let run_serve_bench args =
     Array.map
       (fun blif ->
         let net = Dagmap_blif.Blif.read_string ~file:"<corpus>" blif in
-        let r = Mapper.map Mapper.Dag db (Subject.of_network net) in
-        (Netlist.delay r.Mapper.netlist, Netlist.area r.Mapper.netlist))
+        let r = Flow.map (Flow.Pattern Mapper.Dag) db (Flow.decompose net) in
+        (Netlist.delay r.Flow.netlist, Netlist.area r.Flow.netlist))
       corpus
   in
   let close_to a b =
@@ -1233,14 +1231,6 @@ let run_serve_bench args =
   let srv, srv_thread =
     if not in_process then (None, None)
     else begin
-      let resolve spec =
-        match String.split_on_char ':' spec with
-        | [ "chain"; n ] -> (
-          match int_of_string_opt n with
-          | Some n when n > 0 -> Generators.nand_chain n
-          | _ -> failwith ("bench serve: bad circuit spec " ^ spec))
-        | _ -> failwith ("bench serve: unknown circuit " ^ spec)
-      in
       let srv =
         Server.create
           { Server.socket_path = sock;
@@ -1248,7 +1238,7 @@ let run_serve_bench args =
             queue_max = !queue;
             libraries =
               [ ("lib2", Option.get (Libraries.by_name "lib2")) ];
-            resolve_circuit = Some resolve;
+            resolve_circuit = Some Flow.circuit_of_spec;
             verbose = false;
             io_timeout_s = 30.0;
             idle_timeout_s = 0.0;

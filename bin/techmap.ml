@@ -9,118 +9,17 @@ open Dagmap_core
 open Dagmap_timing
 open Dagmap_flowmap
 open Dagmap_sim
-open Dagmap_circuits
 open Dagmap_retime
 open Dagmap_super
 open Dagmap_obs
+open Dagmap_flow
 open Dagmap_serve
-
-let named_circuits () =
-  [ ("c432", Iscas_like.c432_like);
-    ("c880", Iscas_like.c880_like);
-    ("c1355", Iscas_like.c1355_like);
-    ("c1908", Iscas_like.c1908_like);
-    ("c2670", Iscas_like.c2670_like);
-    ("c3540", Iscas_like.c3540_like);
-    ("c5315", Iscas_like.c5315_like);
-    ("c6288", Iscas_like.c6288_like);
-    ("c7552", Iscas_like.c7552_like);
-    ("adder16", fun () -> Generators.ripple_adder 16);
-    ("adder32", fun () -> Generators.carry_lookahead_adder 32);
-    ("ks32", fun () -> Generators.kogge_stone_adder 32);
-    ("wmult16", fun () -> Generators.wallace_multiplier 16);
-    ("bshift64", fun () -> Generators.barrel_shifter 64);
-    ("mult8", fun () -> Generators.array_multiplier 8);
-    ("mult16", fun () -> Generators.array_multiplier 16);
-    ("alu16", fun () -> Generators.alu 16);
-    ("parity64", fun () -> Generators.parity 64);
-    ("lfsr16", fun () -> Generators.lfsr 16);
-    ("pparity32", fun () -> Generators.pipelined_parity 32 4) ]
-
-(* Sized generator specs: "chain:<n>" and "soc:<n>[:seed]". Checked
-   before the file-system fallback, so the huge-tier workloads are
-   reachable from every subcommand without writing a BLIF first. *)
-let generated_circuit spec =
-  let size what s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> n
-    | _ -> failwith (Printf.sprintf "bad %s in circuit spec %S" what spec)
-  in
-  match String.split_on_char ':' spec with
-  | [ "chain"; n ] -> Some (Generators.nand_chain (size "length" n))
-  | [ "soc"; n ] -> Some (Generators.synthetic_soc ~nodes:(size "size" n) ())
-  | [ "soc"; n; seed ] ->
-    Some
-      (Generators.synthetic_soc ~seed:(size "seed" seed)
-         ~nodes:(size "size" n) ())
-  | _ -> None
-
-let load_circuit ?(stream = false) spec =
-  match List.assoc_opt spec (named_circuits ()) with
-  | Some f -> f ()
-  | None ->
-    (match generated_circuit spec with
-     | Some net -> net
-     | None ->
-       if Sys.file_exists spec then
-         if stream then Dagmap_blif.Blif_stream.read_file spec
-         else Dagmap_blif.Blif.read_file spec
-       else
-         failwith
-           (Printf.sprintf
-              "unknown circuit %S (not a named benchmark, not chain:<n> or \
-               soc:<n>[:seed], not a file)"
-              spec))
-
-(* Every subject node is an INV or a NAND2 of other nodes, so a
-   library that cannot cover those two bare shapes leaves some node
-   unmappable. The built-in libraries all can; a genlib file is
-   checked here, on the one path every command loads it through. *)
-let covers_inv_and_nand2 lib =
-  let b = Subject.Builder.create () in
-  let x = Subject.Builder.pi b "x" and y = Subject.Builder.pi b "y" in
-  Subject.Builder.output b "inv" (Subject.Builder.inv b x);
-  Subject.Builder.output b "nand2" (Subject.Builder.nand b x y);
-  let g = Subject.Builder.finish b in
-  match Mapper.map Mapper.Dag (Matchdb.prepare lib) g with
-  | _ -> true
-  | exception Mapper.Unmappable _ -> false
-
-let load_library spec =
-  match Libraries.by_name spec with
-  | Some lib -> lib
-  | None ->
-    if Sys.file_exists spec then begin
-      let lib =
-        Libraries.make (Filename.basename spec) (Genlib_parser.parse_file spec)
-      in
-      if not (covers_inv_and_nand2 lib) then
-        failwith
-          (Printf.sprintf
-             "library %s cannot cover a bare INV and NAND2 (it needs an \
-              inverter and a 2-input NAND)"
-             spec);
-      lib
-    end
-    else
-      failwith
-        (Printf.sprintf "unknown library %S (try %s, or a genlib file)" spec
-           (String.concat "/" Libraries.names))
-
-type any_mode = Pattern_mode of Mapper.mode | Cut_mode
 
 let resolve_jobs = function
   | Some 0 -> Parmap.recommended_jobs ()
   | Some j when j >= 1 -> j
   | Some j -> failwith (Printf.sprintf "--jobs %d: want >= 1 (0 = auto)" j)
   | None -> 1
-
-let mode_of_string = function
-  | "tree" -> Pattern_mode Mapper.Tree
-  | "dag" -> Pattern_mode Mapper.Dag
-  | "dag-extended" -> Pattern_mode Mapper.Dag_extended
-  | "cut" -> Cut_mode
-  | m -> failwith (Printf.sprintf "unknown mode %S (tree/dag/dag-extended/cut)" m)
 
 (* ------------------------------------------------------------------ *)
 (* map                                                                 *)
@@ -149,12 +48,9 @@ let print_mapper_stats (run : Mapper.stats) (par : Parmap.par_stats option) =
       run.Mapper.super_matches_tried run.Mapper.super_gates_used;
   Option.iter print_par_stats par
 
-(* Cut-mode per-node budget the CLI defaults to: on one core the
-   wall-clock cost is linear in the budget, and 8 priority cuts per
-   node is the classic sweet spot (the bench sweeps the trade-off). *)
-let default_cut_priority = 8
-
-let run_map circuit lib_spec super_file mode_s opt recover buffer out_file verilog_file show_path verify jobs priority show_stats trace_out metrics_json arena stream =
+let run_map circuit lib_spec super_file mode_s opt recover buffer out_file
+    verilog_file show_path verify jobs priority show_stats trace_out
+    metrics_json =
   if trace_out <> None then begin
     Span.reset ();
     Span.set_enabled true
@@ -191,7 +87,7 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
           close_out oc;
           Printf.eprintf "techmap: interrupted; partial metrics in %s\n%!" path))
     metrics_json;
-  let net = load_circuit ~stream circuit in
+  let net = Flow.load_circuit circuit in
   let net =
     if opt then begin
       let optimized, stats = Dagmap_opt.Netopt.optimize net in
@@ -200,13 +96,12 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
     end
     else net
   in
-  let lib = load_library lib_spec in
+  let lib = Flow.load_library lib_spec in
   let lib =
     match super_file with
     | None -> lib
     | Some path ->
-      let sgl = Superlib.read_file path in
-      let augmented = Superlib.augment lib sgl in
+      let sgl, augmented = Flow.load_super ~base:(fun _ -> lib) path in
       Printf.printf "superlib %s: +%d supergates (base %s, bounds depth=%d)\n"
         path
         (List.length sgl.Superlib.supergates)
@@ -214,36 +109,24 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
       augmented
   in
   let db = Matchdb.prepare lib in
-  let mode = mode_of_string mode_s in
-  let sg = Subject.of_network net in
+  let engine = Flow.engine_of_string ~priority mode_s in
+  let input = Flow.decompose net in
+  let sg = input.Flow.subject in
   Printf.printf "circuit %s: %s\n" circuit (Subject.stats sg);
   Printf.printf "library %s: %d gates, %d patterns\n" lib.Libraries.lib_name
     (List.length lib.Libraries.gates)
     (List.length lib.Libraries.patterns);
   let jobs = resolve_jobs jobs in
   let t0 = Clock.now () in
-  let mode_name, nl, pattern_result, par_stats =
-    let a = Arena.of_subject sg in
-    if arena then Printf.printf "%s\n" (Arena.stats a);
-    match mode with
-    | Pattern_mode m ->
-      let result = Mapper.map_arena ~jobs ~subject:sg m db a in
-      ( Mapper.mode_name m,
-        result.Mapper.netlist,
-        Some (m, result),
-        if jobs > 1 then Some result.Mapper.par else None )
-    | Cut_mode ->
-      let r, par =
-        Dagmap_cutmap.Cut_mapper.map_arena ~jobs ~priority ~subject:sg
-          (Matchdb.boolean db) a
-      in
-      Printf.printf
-        "cut: %d priority cuts/node, %d nodes matched, %d matches evaluated\n"
-        priority r.Dagmap_cutmap.Cut_mapper.matched_nodes
-        r.Dagmap_cutmap.Cut_mapper.matches_evaluated;
-      ("cut", r.Dagmap_cutmap.Cut_mapper.netlist, None, Some par)
-  in
+  let r = Flow.map ~jobs engine db input in
   let dt = Clock.now () -. t0 in
+  (match r.Flow.run with
+   | Flow.Cut_run c ->
+     Printf.printf
+       "cut: %d priority cuts/node, %d nodes matched, %d matches evaluated\n"
+       priority c.Dagmap_cutmap.Cut_mapper.matched_nodes
+       c.Dagmap_cutmap.Cut_mapper.matches_evaluated
+   | Flow.Pattern_run _ -> ());
   (match trace_out with
    | None -> ()
    | Some path ->
@@ -259,7 +142,7 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
          [ ("generated", Json.String (Clock.stamp ()));
            ("circuit", Json.String circuit);
            ("library", Json.String lib.Libraries.lib_name);
-           ("mode", Json.String mode_name);
+           ("mode", Json.String (Flow.engine_name engine));
            ("jobs", Json.Int jobs);
            ("metrics", Metrics.to_json ()) ]
      in
@@ -269,27 +152,30 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
      close_out oc;
      Printf.printf "wrote %s\n" path);
   flushed := true;
+  let nl = r.Flow.netlist in
   Printf.printf "%s mapping: delay=%.2f area=%.0f gates=%d duplicated=%d (%.2fs)\n"
-    mode_name (Netlist.delay nl) (Netlist.area nl)
+    (Flow.engine_name engine) (Netlist.delay nl) (Netlist.area nl)
     (Netlist.num_gates nl) (Netlist.duplication nl) dt;
   if show_stats then begin
-    match pattern_result with
-    | Some (_, result) ->
-      print_mapper_stats result.Mapper.run par_stats
-    | None -> Option.iter print_par_stats par_stats
+    Printf.printf "%s\n" (Arena.stats input.Flow.arena);
+    match r.Flow.run with
+    | Flow.Pattern_run p ->
+      print_mapper_stats p.Mapper.run
+        (if jobs > 1 then Some r.Flow.par else None)
+    | Flow.Cut_run _ -> print_par_stats r.Flow.par
   end;
   let nl =
-    match recover, pattern_result with
-    | true, Some (m, result) ->
-      let recovered = Area_recovery.recover db m sg result in
+    match recover, engine, r.Flow.run with
+    | true, Flow.Pattern m, Flow.Pattern_run p ->
+      let recovered = Area_recovery.recover db m sg p in
       Printf.printf "area recovery: delay=%.2f area=%.0f gates=%d\n"
         (Netlist.delay recovered) (Netlist.area recovered)
         (Netlist.num_gates recovered);
       recovered
-    | true, None ->
+    | true, _, _ ->
       Printf.printf "area recovery: only available for pattern modes\n";
       nl
-    | false, _ -> nl
+    | false, _, _ -> nl
   in
   let nl =
     match buffer with
@@ -336,37 +222,17 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
 open Dagmap_check
 
 let run_check circuit lib_spec super_file mode_s jobs =
-  let net = load_circuit circuit in
-  let lib = load_library lib_spec in
-  let lib =
-    match super_file with
-    | None -> lib
-    | Some path -> Superlib.augment lib (Superlib.read_file path)
-  in
-  let db = Matchdb.prepare lib in
-  let mode = mode_of_string mode_s in
+  let net = Flow.load_circuit circuit in
+  let db = Matchdb.prepare (Flow.load_library ?super:super_file lib_spec) in
+  let engine = Flow.engine_of_string mode_s in
   let jobs = resolve_jobs jobs in
-  let sg = Subject.of_network net in
-  Printf.printf "circuit %s: %s\n" circuit (Subject.stats sg);
-  let mode_name, nl, predicted =
-    match mode with
-    | Pattern_mode m ->
-      let result = Mapper.map ~jobs m db sg in
-      ( Mapper.mode_name m,
-        result.Mapper.netlist,
-        Mapper.predicted_arrivals result )
-    | Cut_mode ->
-      let r, _ =
-        Dagmap_cutmap.Cut_mapper.map_arena ~jobs
-          ~priority:default_cut_priority ~subject:sg (Matchdb.boolean db)
-          (Arena.of_subject sg)
-      in
-      ( "cut",
-        r.Dagmap_cutmap.Cut_mapper.netlist,
-        Dagmap_cutmap.Cut_mapper.predicted_arrivals r )
-  in
-  Printf.printf "%s mapping: delay=%.2f area=%.0f gates=%d\n" mode_name
-    (Netlist.delay nl) (Netlist.area nl) (Netlist.num_gates nl);
+  let input = Flow.decompose net in
+  Printf.printf "circuit %s: %s\n" circuit (Subject.stats input.Flow.subject);
+  let r = Flow.map ~jobs engine db input in
+  let nl = r.Flow.netlist in
+  Printf.printf "%s mapping: delay=%.2f area=%.0f gates=%d\n"
+    (Flow.engine_name engine) (Netlist.delay nl) (Netlist.area nl)
+    (Netlist.num_gates nl);
   let failed = ref false in
   let section name issues =
     match issues with
@@ -383,8 +249,8 @@ let run_check circuit lib_spec super_file mode_s jobs =
   section "structural" s;
   if s = [] then begin
     (* Timing and simulation are undefined on a malformed netlist. *)
-    section "delay" (Check.delay ~predicted nl);
-    section "functional" (Check.functional sg nl)
+    section "delay" (Check.delay ~predicted:r.Flow.predicted nl);
+    section "functional" (Check.functional input.Flow.subject nl)
   end
   else Printf.printf "delay/functional audits skipped (structural failure)\n";
   if !failed then exit 2
@@ -398,7 +264,7 @@ let fuzz_super_bounds =
 
 let run_fuzz count seed nodes lib_spec no_super max_failures repro_dir
     inject verbose =
-  let base = load_library lib_spec in
+  let base = Flow.load_library lib_spec in
   let libs =
     if no_super then [ ("base", base) ]
     else begin
@@ -461,7 +327,7 @@ let run_fuzz count seed nodes lib_spec no_super max_failures repro_dir
 
 let run_superlib lib_spec out depth pins size cap fusion class_cap jobs
     show_stats =
-  let base = load_library lib_spec in
+  let base = Flow.load_library lib_spec in
   let bounds =
     { Superenum.depth;
       max_pins = pins;
@@ -489,18 +355,18 @@ let run_superlib lib_spec out depth pins size cap fusion class_cap jobs
 (* ------------------------------------------------------------------ *)
 
 let run_fpga circuit k out_file verify =
-  let net = load_circuit circuit in
-  let sg = Subject.of_network net in
+  let sg = (Flow.decompose (Flow.load_circuit circuit)).Flow.subject in
   Printf.printf "circuit %s: %s\n" circuit (Subject.stats sg);
   let t0 = Clock.now () in
   let cover = Flowmap.map ~k sg in
   let dt = Clock.now () -. t0 in
   Printf.printf "FlowMap k=%d: depth=%d luts=%d (%.2fs)\n" k
     (Flowmap.depth cover) (Flowmap.num_luts cover) dt;
+  (* The LUT network -o writes is the one --verify simulates. *)
+  let lut_net = Flowmap.to_network cover in
   (match out_file with
    | None -> ()
    | Some path ->
-     let lut_net = Flowmap.to_network cover in
      let oc = open_out path in
      output_string oc (Dagmap_blif.Blif.write_network lut_net);
      close_out oc;
@@ -509,27 +375,7 @@ let run_fpga circuit k out_file verify =
     let n_inputs = List.length (Subject.pi_ids sg) in
     let verdict =
       Equiv.compare_sims ~n_inputs (Simulate.subject sg)
-        (fun words ->
-          (* Bit-level fallback: FlowMap eval is bool-based. *)
-          let lanes = Array.make 64 [] in
-          for lane = 0 to 63 do
-            let asg =
-              Array.map
-                (fun w ->
-                  Int64.logand (Int64.shift_right_logical w lane) 1L <> 0L)
-                words
-            in
-            lanes.(lane) <- Flowmap.eval cover asg
-          done;
-          List.mapi
-            (fun _ (name, _) ->
-              let w = ref 0L in
-              for lane = 0 to 63 do
-                if List.assoc name lanes.(lane) then
-                  w := Int64.logor !w (Int64.shift_left 1L lane)
-              done;
-              (name, !w))
-            lanes.(0))
+        (Simulate.network lut_net)
     in
     Format.printf "equivalence: %a@." Equiv.pp_verdict verdict;
     if not (Equiv.is_equivalent verdict) then exit 2
@@ -540,15 +386,14 @@ let run_fpga circuit k out_file verify =
 (* ------------------------------------------------------------------ *)
 
 let run_retime circuit lib_spec mode_s =
-  let net = load_circuit circuit in
+  let net = Flow.load_circuit circuit in
   if Network.latches net = [] then
     failwith "retime requires a sequential circuit (try lfsr16 or pparity32)";
-  let lib = load_library lib_spec in
-  let db = Matchdb.prepare lib in
+  let db = Matchdb.prepare (Flow.load_library lib_spec) in
   let mode =
-    match mode_of_string mode_s with
-    | Pattern_mode m -> m
-    | Cut_mode -> failwith "retime supports pattern modes only"
+    match Flow.engine_of_string mode_s with
+    | Flow.Pattern m -> m
+    | Flow.Cut _ -> failwith "retime supports pattern modes only"
   in
   let r = Seq_map.run db mode net in
   Printf.printf "%s: mapped comb delay %.2f\n" circuit r.Seq_map.comb_delay;
@@ -562,12 +407,10 @@ let run_retime circuit lib_spec mode_s =
 (* ------------------------------------------------------------------ *)
 
 let run_compare circuit lib_spec =
-  let net = load_circuit circuit in
-  let lib = load_library lib_spec in
+  let input = Flow.decompose (Flow.load_circuit circuit) in
+  let lib = Flow.load_library lib_spec in
   let db = Matchdb.prepare lib in
-  let bdb = Matchdb.boolean db in
-  let sg = Subject.of_network net in
-  Printf.printf "circuit %s: %s\n" circuit (Subject.stats sg);
+  Printf.printf "circuit %s: %s\n" circuit (Subject.stats input.Flow.subject);
   Printf.printf "library %s: %d gates\n\n" lib.Libraries.lib_name
     (List.length lib.Libraries.gates);
   Printf.printf "%-13s | %8s | %10s | %6s | %5s | %7s\n" "engine" "delay"
@@ -578,26 +421,27 @@ let run_compare circuit lib_spec =
       (Netlist.duplication nl) dt
   in
   List.iter
-    (fun mode ->
+    (fun engine ->
       let t0 = Clock.now () in
-      let r = Mapper.map mode db sg in
+      let r = Flow.map engine db input in
       let dt = Clock.now () -. t0 in
-      report (Mapper.mode_name mode) r.Mapper.netlist dt;
-      if mode = Mapper.Dag then begin
+      (match engine with
+       | Flow.Cut { priority } ->
+         report (Printf.sprintf "cut p=%d" priority) r.Flow.netlist dt
+       | Flow.Pattern _ -> report (Flow.engine_name engine) r.Flow.netlist dt);
+      match r.Flow.run with
+      | Flow.Pattern_run p when engine = Flow.Pattern Mapper.Dag ->
         let t1 = Clock.now () in
-        let recovered = Area_recovery.recover db mode sg r in
+        let recovered =
+          Area_recovery.recover db Mapper.Dag input.Flow.subject p
+        in
         report "dag+recover" recovered (Clock.now () -. t1)
-      end)
-    [ Mapper.Tree; Mapper.Dag; Mapper.Dag_extended ];
-  List.iter
-    (fun priority ->
-      let t0 = Clock.now () in
-      let rc = Dagmap_cutmap.Cut_mapper.map ~priority bdb sg in
-      report
-        (Printf.sprintf "cut p=%d" priority)
-        rc.Dagmap_cutmap.Cut_mapper.netlist
-        (Clock.now () -. t0))
-    [ default_cut_priority; 50 ]
+      | Flow.Pattern_run _ | Flow.Cut_run _ -> ())
+    [ Flow.Pattern Mapper.Tree;
+      Flow.Pattern Mapper.Dag;
+      Flow.Pattern Mapper.Dag_extended;
+      Flow.Cut { priority = Flow.default_cut_priority };
+      Flow.Cut { priority = 50 } ]
 
 (* ------------------------------------------------------------------ *)
 (* libs / circuits listings                                            *)
@@ -621,10 +465,9 @@ let run_circuits () =
   List.iter
     (fun (name, f) ->
       let net = f () in
-      let sg = Subject.of_network net in
       Printf.printf "%-10s %s | %s\n" name (Network.stats net)
-        (Subject.stats sg))
-    (named_circuits ())
+        (Subject.stats (Flow.decompose net).Flow.subject))
+    Flow.named_circuits
 
 (* ------------------------------------------------------------------ *)
 (* serve / client (the techmapd daemon)                                *)
@@ -652,20 +495,20 @@ let run_serve socket libs supers jobs queue metrics_json quiet io_timeout
     | specs ->
       List.map
         (fun s ->
-          let l = load_library s in
+          let l = Flow.load_library s in
           (l.Libraries.lib_name, l))
         specs
+  in
+  let base_named name =
+    match List.assoc_opt name base with
+    | Some l -> l
+    | None -> Flow.load_library name
   in
   let supered =
     List.map
       (fun path ->
-        let sgl = Superlib.read_file path in
-        let base_lib =
-          match List.assoc_opt sgl.Superlib.base_name base with
-          | Some l -> l
-          | None -> load_library sgl.Superlib.base_name
-        in
-        (sgl.Superlib.base_name ^ "+super", Superlib.augment base_lib sgl))
+        let sgl, lib = Flow.load_super ~base:base_named path in
+        (sgl.Superlib.base_name ^ "+super", lib))
       supers
   in
   Metrics.reset_all ();
@@ -675,7 +518,9 @@ let run_serve socket libs supers jobs queue metrics_json quiet io_timeout
         jobs = resolve_jobs (Some jobs);
         queue_max = queue;
         libraries = base @ supered;
-        resolve_circuit = Some (fun spec -> load_circuit spec);
+        (* Specs only: a client names no file on this host. BLIF
+           reaches the daemon as a request payload. *)
+        resolve_circuit = Some Flow.circuit_of_spec;
         verbose = not quiet;
         io_timeout_s = io_timeout;
         idle_timeout_s = idle_timeout;
@@ -786,7 +631,8 @@ let circuit_arg =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"CIRCUIT" ~doc:"Named benchmark or BLIF file.")
+    & info [] ~docv:"CIRCUIT"
+        ~doc:"Named benchmark, chain:<n>, soc:<n>[:seed], or a BLIF file.")
 
 let lib_arg =
   Arg.(
@@ -797,7 +643,8 @@ let lib_arg =
 let mode_arg =
   Arg.(
     value & opt string "dag"
-    & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"tree, dag, or dag-extended.")
+    & info [ "m"; "mode" ] ~docv:"MODE"
+        ~doc:"tree, dag, dag-extended or cut.")
 
 let wrap f =
   try `Ok (f ()) with
@@ -856,7 +703,7 @@ let map_cmd =
   let priority =
     Arg.(
       value
-      & opt int default_cut_priority
+      & opt int Flow.default_cut_priority
       & info [ "priority" ] ~docv:"P"
           ~doc:
             "Cut budget for $(b,--mode cut): keep the P best cuts per node \
@@ -867,7 +714,9 @@ let map_cmd =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:"Print labeling statistics (timings, matcher work, domains).")
+          ~doc:
+            "Print labeling statistics (timings, matcher work, domains) \
+             and the flat arena's statistics.")
   in
   let super_file =
     Arg.(
@@ -901,32 +750,14 @@ let map_cmd =
              after mapping. The registry is reset first, so the file \
              covers exactly this run.")
   in
-  let arena =
-    Arg.(
-      value & flag
-      & info [ "arena" ]
-          ~doc:
-            "Print the flat arena's statistics. Every mode maps on the \
-             arena.")
-  in
-  let stream =
-    Arg.(
-      value & flag
-      & info [ "stream" ]
-          ~doc:
-            "Parse BLIF circuit files with the streaming reader \
-             (constant-memory line handling; identical networks and \
-             diagnostics to the default reader).")
-  in
   let term =
     Term.(
       ret
-        (const (fun c l sf m op r b o vf p v j pr st tr mj ar sr ->
-             wrap (fun () ->
-                 run_map c l sf m op r b o vf p v j pr st tr mj ar sr))
+        (const (fun c l sf m op r b o vf p v j pr st tr mj ->
+             wrap (fun () -> run_map c l sf m op r b o vf p v j pr st tr mj))
         $ circuit_arg $ lib_arg $ super_file $ mode_arg $ opt $ recover
         $ buffer $ out_file $ verilog_file $ show_path $ verify $ jobs
-        $ priority $ show_stats $ trace_out $ metrics_json $ arena $ stream))
+        $ priority $ show_stats $ trace_out $ metrics_json))
   in
   Cmd.v (Cmd.info "map" ~doc:"Map a circuit onto a gate library.") term
 
@@ -1281,7 +1112,10 @@ let client_cmd =
       value
       & opt (some string) None
       & info [ "c"; "circuit" ] ~docv:"SPEC"
-          ~doc:"Server-side circuit spec (named benchmark, chain:<n>, ...).")
+          ~doc:
+            "Server-side circuit spec: a named benchmark, chain:<n> or \
+             soc:<n>[:seed]. The daemon reads no files; ship a file with \
+             $(b,--blif).")
   in
   let blif_file =
     Arg.(
@@ -1299,7 +1133,8 @@ let client_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"tree, dag, or dag-extended.")
+      & info [ "m"; "mode" ] ~docv:"MODE"
+          ~doc:"tree, dag, dag-extended, or cut (priority 8, one domain).")
   in
   let audit =
     Arg.(

@@ -1,37 +1,4 @@
-(** Streaming BLIF reader.
+(** An alias of {!Blif.read_string}, which streams. It is kept so that
+    code naming [Blif_stream] keeps compiling; new code calls [Blif]. *)
 
-    [Blif.read_file] slurps the whole file into one string, splits it
-    into a line list, and only then parses — three transient copies of
-    the text before the first token is looked at, which at
-    million-node BLIF sizes costs hundreds of megabytes of peak heap.
-    This reader consumes a line source instead: each raw line is
-    comment-stripped, trimmed and continuation-joined as it arrives,
-    and directive/cube state is accumulated incrementally, so the
-    textual netlist is never materialised — peak extra memory is one
-    logical line. Elaboration into the {!Dagmap_logic.Network} is the
-    same demand-driven DFS from the outputs as the legacy reader
-    (node-id parity requires it; forward references make single-pass
-    elaboration impossible in BLIF anyway).
-
-    Contract, locked by [test/test_blif_stream.ml]: for every input —
-    well-formed or malformed — this reader and {!Blif.read_string}
-    produce identical networks or raise {!Blif.Parse_error} with
-    identical [file]/[line]/[message] payloads. *)
-
-open Dagmap_logic
-
-val read_lines : ?file:string -> (unit -> string option) -> Network.t
-(** Parse from a raw-line source ([None] = end of input; lines are
-    without their trailing newline, as [input_line] yields them).
-    Raises {!Blif.Parse_error}. *)
-
-val read_channel : ?file:string -> in_channel -> Network.t
-(** Parse a channel line-by-line without slurping it. *)
-
-val read_file : string -> Network.t
-(** [read_channel] over the named file. *)
-
-val read_string : ?file:string -> string -> Network.t
-(** Parse from an in-memory string through the same streaming path
-    (test convenience; does not slurp anything beyond the argument
-    itself). *)
+val read_string : ?file:string -> string -> Dagmap_logic.Network.t

@@ -1,15 +1,15 @@
 open Dagmap_logic
 open Dagmap_genlib
-open Dagmap_subject
 open Dagmap_core
 open Dagmap_circuits
+open Dagmap_flow
 
 type config = {
   count : int;
   seed : int;
   max_nodes : int;
   libs : (string * Libraries.t) list;
-  modes : Mapper.mode list;
+  modes : Flow.engine list;
   jobs : int list;
   rounds : int;
   epsilon : float;
@@ -21,7 +21,11 @@ let default_config lib =
     seed = 42;
     max_nodes = 60;
     libs = [ ("base", lib) ];
-    modes = [ Mapper.Tree; Mapper.Dag; Mapper.Dag_extended ];
+    modes =
+      [ Flow.Pattern Mapper.Tree;
+        Flow.Pattern Mapper.Dag;
+        Flow.Pattern Mapper.Dag_extended;
+        Flow.Cut { priority = Flow.default_cut_priority } ];
     jobs = [ 1; 4 ];
     rounds = 6;
     epsilon = 1e-6;
@@ -47,20 +51,20 @@ type outcome = {
 type case = {
   lib_tag : string;
   db : Matchdb.t;
-  mode : Mapper.mode;
+  engine : Flow.engine;
   c_jobs : int;
 }
 
 let case_name c =
-  Printf.sprintf "%s/%s/jobs=%d" c.lib_tag (Mapper.mode_name c.mode) c.c_jobs
+  Printf.sprintf "%s/%s/jobs=%d" c.lib_tag (Flow.engine_name c.engine) c.c_jobs
 
 let cases_of cfg =
   List.concat_map
     (fun (lib_tag, lib) ->
       let db = Matchdb.prepare lib in
       List.concat_map
-        (fun mode ->
-          List.map (fun c_jobs -> { lib_tag; db; mode; c_jobs }) cfg.jobs)
+        (fun engine ->
+          List.map (fun c_jobs -> { lib_tag; db; engine; c_jobs }) cfg.jobs)
         cfg.modes)
     cfg.libs
 
@@ -69,9 +73,10 @@ let cases_of cfg =
    itself a finding — the shrinker must be able to chase it. *)
 let issues_of cfg case net =
   match
-    let sg = Subject.of_network net in
-    let result = Mapper.map ~jobs:case.c_jobs case.mode case.db sg in
-    Check.audit_result ~epsilon:cfg.epsilon ~rounds:cfg.rounds sg result
+    let input = Flow.decompose net in
+    let r = Flow.map ~jobs:case.c_jobs case.engine case.db input in
+    Check.audit ~epsilon:cfg.epsilon ~rounds:cfg.rounds input.Flow.subject
+      ~predicted:r.Flow.predicted r.Flow.netlist
   with
   | issues -> issues
   | exception e ->

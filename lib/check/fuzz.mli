@@ -1,9 +1,9 @@
 (** Differential fuzzing of the mapping flow.
 
     Generates seeded random networks
-    ({!Dagmap_circuits.Generators.random_dag}), maps each one under a
-    full configuration matrix — every mapper mode, sequential and
-    parallel labeling, each provided library
+    ({!Dagmap_circuits.Generators.random_dag}), maps each one through
+    {!Dagmap_flow.Flow} under a full configuration matrix — every
+    engine, sequential and parallel labeling, each provided library
     (typically the base library and its supergate augmentation) — and
     runs the three {!Check} auditors on every result. A failing
     (circuit, configuration) pair is shrunk to a minimal network that
@@ -15,7 +15,7 @@
 
 open Dagmap_logic
 open Dagmap_genlib
-open Dagmap_core
+open Dagmap_flow
 
 type config = {
   count : int;          (** number of random circuits *)
@@ -23,7 +23,7 @@ type config = {
   max_nodes : int;      (** circuit sizes cycle below this bound *)
   libs : (string * Libraries.t) list;
       (** tagged libraries, e.g. [("base", lib); ("super", augmented)] *)
-  modes : Mapper.mode list;
+  modes : Flow.engine list;
   jobs : int list;      (** e.g. [[1; 4]]: sequential and 4 domains *)
   rounds : int;         (** simulation rounds per functional audit *)
   epsilon : float;      (** delay-audit tolerance *)
@@ -31,12 +31,13 @@ type config = {
 }
 
 val default_config : Libraries.t -> config
-(** 25 circuits from seed 42, up to 60 nodes each, all three modes,
-    jobs 1 and 4, over the single given library. *)
+(** 25 circuits from seed 42, up to 60 nodes each, the three pattern
+    modes and the cut engine at priority 8, jobs 1 and 4, over the
+    single given library. *)
 
 type failure = {
   circuit : int;        (** index of the failing random circuit *)
-  case_name : string;   (** ["lib/mode/jobs=N"] tag *)
+  case_name : string;   (** ["lib/engine/jobs=N"] tag *)
   issues : Check.issue list;  (** audit issues on the shrunk network *)
   network : Network.t;  (** the shrunk failing network *)
   original_nodes : int;

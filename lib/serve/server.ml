@@ -6,8 +6,8 @@
    I/O-concurrent on domain 0); the CPU-bound request bodies are
    submitted to a Parmap pool in service mode, one job per request,
    so mapping runs genuinely parallel across worker domains while
-   each job is the plain sequential Mapper (many small jobs, not one
-   big one).
+   each job runs the Flow pipeline on one domain (many small jobs,
+   not one big one).
 
    Failure containment: everything a request can raise — BLIF parse
    errors, unknown libraries, Mapper.Unmappable, plain bugs — is
@@ -38,6 +38,7 @@ open Dagmap_genlib
 open Dagmap_subject
 open Dagmap_core
 open Dagmap_timing
+open Dagmap_flow
 open Dagmap_check
 open Dagmap_obs
 
@@ -336,14 +337,11 @@ let resolve_lib t name =
            Printf.sprintf "library %S not loaded (have %s)" name
              (String.concat "/" (List.map fst t.libs)) ))
 
-let resolve_mode = function
-  | None | Some "dag" -> Mapper.Dag
-  | Some "tree" -> Mapper.Tree
-  | Some "dag-extended" -> Mapper.Dag_extended
-  | Some m ->
-    raise
-      (Reply_error
-         ("unknown_mode", Printf.sprintf "mode %S (tree/dag/dag-extended)" m))
+let resolve_engine = function
+  | None -> Flow.Pattern Mapper.Dag
+  | Some m -> (
+    try Flow.engine_of_string m
+    with Failure msg -> raise (Reply_error ("unknown_mode", msg)))
 
 let load_network t (req : Proto.request) payload =
   match payload, req.Proto.circuit with
@@ -373,13 +371,17 @@ let issue_strings issues =
        (fun i -> Json.String (Format.asprintf "%a" Check.pp_issue i))
        issues)
 
-let map_and_subject t req payload =
+(* Every request runs on one pool worker, so the engine runs at jobs 1:
+   the daemon's parallelism is across requests. *)
+let map_input t req payload =
   let net = load_network t req payload in
   let entry = resolve_lib t req.Proto.lib in
-  let mode = resolve_mode req.Proto.mode in
-  let sg = Subject.of_network net in
-  let result = Mapper.map mode entry.db sg in
-  (sg, result)
+  let engine = resolve_engine req.Proto.mode in
+  let input = Flow.decompose net in
+  (input, Flow.map engine entry.db input)
+
+let audit_issues (input : Flow.input) (r : Flow.result) =
+  Check.audit input.Flow.subject ~predicted:r.Flow.predicted r.Flow.netlist
 
 let netlist_fields nl =
   [ ("delay", Json.Float (Netlist.delay nl));
@@ -388,36 +390,41 @@ let netlist_fields nl =
     ("duplicated", Json.Int (Netlist.duplication nl)) ]
 
 let exec_map t req payload =
-  let sg, result = map_and_subject t req payload in
-  let nl = result.Mapper.netlist in
+  let input, r = map_input t req payload in
+  let nl = r.Flow.netlist in
   let audit =
     if not req.Proto.audit then []
     else begin
-      match Check.audit_result sg result with
+      match audit_issues input r with
       | [] -> [ ("audit", Json.String "ok") ]
       | issues ->
         [ ("audit", Json.String "failed"); ("audit_issues", issue_strings issues) ]
     end
+  in
+  let matches =
+    match r.Flow.run with
+    | Flow.Pattern_run p -> p.Mapper.run.Mapper.matches_tried
+    | Flow.Cut_run c -> c.Dagmap_cutmap.Cut_mapper.matches_evaluated
   in
   let blif =
     if req.Proto.want_blif then
       [ ("blif", Json.String (Dagmap_blif.Blif.write_netlist nl)) ]
     else []
   in
-  [ ("subject_nodes", Json.Int (Subject.num_nodes sg)) ]
+  [ ("subject_nodes", Json.Int (Subject.num_nodes input.Flow.subject)) ]
   @ netlist_fields nl
-  @ [ ("matches_tried", Json.Int result.Mapper.run.Mapper.matches_tried) ]
+  @ [ ("matches_tried", Json.Int matches) ]
   @ audit @ blif
 
 let exec_check t req payload =
-  let sg, result = map_and_subject t req payload in
-  let issues = Check.audit_result sg result in
-  netlist_fields result.Mapper.netlist
+  let input, r = map_input t req payload in
+  let issues = audit_issues input r in
+  netlist_fields r.Flow.netlist
   @ [ ("clean", Json.Bool (issues = [])); ("issues", issue_strings issues) ]
 
 let exec_sta t req payload =
-  let _, result = map_and_subject t req payload in
-  let report = Sta.analyze result.Mapper.netlist in
+  let _, r = map_input t req payload in
+  let report = Sta.analyze r.Flow.netlist in
   let path =
     Json.List
       (List.map
@@ -428,7 +435,7 @@ let exec_sta t req payload =
                ("arrival", Json.Float pe.Sta.pe_arrival) ])
          report.Sta.critical_path)
   in
-  netlist_fields result.Mapper.netlist
+  netlist_fields r.Flow.netlist
   @ [ ("critical_output", Json.String report.Sta.critical_output);
       ("worst_delay", Json.Float report.Sta.worst_delay);
       ("critical_path", path) ]

@@ -1,9 +1,10 @@
 (* Differential lockdown of the streaming BLIF reader: for any input —
-   well-formed or malformed — Blif_stream must produce the same
-   network as the legacy Blif reader, or fail with the same
+   well-formed or malformed — Blif must produce the same network as
+   the slurping reader in Blif_oracle, or fail with the same
    Parse_error payload (file, line, message). The two implementations
    share no parsing code, so every agreement here is evidence, not
-   tautology. *)
+   tautology. The malformed catalog's diagnostics are also pinned as
+   golden data, so a change made to both readers at once still shows. *)
 
 open Dagmap_logic
 open Dagmap_circuits
@@ -68,8 +69,8 @@ let show_outcome = function
       line message
   | Fail m -> Printf.sprintf "Failure %s" m
 
-let agree tag legacy stream =
-  match legacy, stream with
+let agree tag oracle stream =
+  match oracle, stream with
   | Net a, Net b -> same_network tag a b
   | Err (fa, la, ma), Err (fb, lb, mb) ->
     check tbool (tag ^ ": error file") true (fa = fb);
@@ -77,13 +78,13 @@ let agree tag legacy stream =
     check tstr (tag ^ ": error message") ma mb
   | Fail a, Fail b -> check tstr (tag ^ ": failure") a b
   | a, b ->
-    Alcotest.failf "%s: readers disagree: legacy %s, stream %s" tag
+    Alcotest.failf "%s: readers disagree: oracle %s, stream %s" tag
       (show_outcome a) (show_outcome b)
 
 let both tag source =
   agree tag
+    (outcome_of Blif_oracle.read_string source)
     (outcome_of Blif.read_string source)
-    (outcome_of Blif_stream.read_string source)
 
 (* --- generated-circuit differential ----------------------------------- *)
 
@@ -113,7 +114,7 @@ let test_generated_circuits () =
       both tag text;
       (* The streaming result must also match the original writer's
          source network in simulation-relevant structure. *)
-      match outcome_of Blif_stream.read_string text with
+      match outcome_of Blif.read_string text with
       | Net reparsed ->
         check tint (tag ^ ": pi count")
           (List.length (Network.pis net))
@@ -168,51 +169,91 @@ let qc_mutations =
 
 (* --- malformed-input parity ------------------------------------------- *)
 
+(* Each malformed source with the (line, message) of the Parse_error
+   it must raise, or [None] for the one that parses. *)
 let malformed_catalog =
-  [ ".model a b\n";
-    ".model m\n.inputs a\n.outputs f\n.names a f\n1 2\n.end\n";
-    ".model m\n.inputs a\n.outputs f\n.names a f\n11 1\n.end\n";
-    ".model m\n.inputs a\n.outputs f\n.end\n";
-    ".model m\n.inputs a\n.outputs f\n.names a f\n1 1\n.names a f\n0 1\n.end\n";
-    ".model m\n.inputs a\n.outputs f\n.names f f\n1 1\n.end\n";
-    ".model m\n.inputs a\n.inputs a\n.outputs f\n.names a f\n1 1\n.end\n";
-    ".model m\n.inputs a\n.outputs f\n.names w f\n1 1\n.end\n";
-    ".model m\n.inputs a b\n.outputs f\n.names a b f\n1x 1\n.end\n";
-    ".model m\n.inputs a b\n.outputs f\n.names a b f\n11 1\n00 0\n.end\n";
-    ".model m\n.inputs a\n.outputs f\n.names\n.end\n";
-    ".model m\n.inputs a\n.outputs f\n.latch\n.end\n";
-    ".model m\n.inputs a\n.outputs f\n.latch d\n.end\n";
-    ".model m\n.inputs a\n.outputs f\n.exdc\n.end\n";
-    ".model m\n.inputs a\n.outputs f\nstray line\n.end\n";
-    ".model m\n.inputs a\n.outputs f\n.names a f\nbogus\n.end\n";
-    ".model m\n.inputs a\n.outputs f\n.names f\nx\n.end\n";
-    ".model m\n.inputs a\n.outputs f\n.names a f\n1 1 1\n.end\n";
-    ".model m\n.outputs f\n.names g f\n1 1\n.names f g\n1 1\n.end\n";
-    ".model m\n.inputs a\n.outputs o\n.latch x q\n.names a q d\n11 1\n.end\n";
+  let bogus =
+    Some
+      (5, "cube line \"bogus\" needs both an input part and an output value")
+  in
+  [ (".model a b\n", Some (1, "malformed .model"));
+    ( ".model m\n.inputs a\n.outputs f\n.names a f\n1 2\n.end\n",
+      Some (5, "cube output must be 0 or 1 in \"1 2\"") );
+    ( ".model m\n.inputs a\n.outputs f\n.names a f\n11 1\n.end\n",
+      Some (4, "cube width 2 does not match 1 inputs") );
+    (".model m\n.inputs a\n.outputs f\n.end\n", Some (3, "undefined signal f"));
+    ( ".model m\n.inputs a\n.outputs f\n.names a f\n1 1\n.names a f\n0 1\n\
+       .end\n",
+      Some (6, "signal f defined twice") );
+    ( ".model m\n.inputs a\n.outputs f\n.names f f\n1 1\n.end\n",
+      Some (4, "combinational cycle through f") );
+    ( ".model m\n.inputs a\n.inputs a\n.outputs f\n.names a f\n1 1\n.end\n",
+      Some (3, "duplicate input a") );
+    ( ".model m\n.inputs a\n.outputs f\n.names w f\n1 1\n.end\n",
+      Some (4, "undefined signal w") );
+    ( ".model m\n.inputs a b\n.outputs f\n.names a b f\n1x 1\n.end\n",
+      Some (4, "bad cube character 'x'") );
+    ( ".model m\n.inputs a b\n.outputs f\n.names a b f\n11 1\n00 0\n.end\n",
+      Some (4, "mixed on-set and off-set cubes") );
+    ( ".model m\n.inputs a\n.outputs f\n.names\n.end\n",
+      Some (4, ".names needs at least an output") );
+    ( ".model m\n.inputs a\n.outputs f\n.latch\n.end\n",
+      Some (4, "malformed .latch") );
+    ( ".model m\n.inputs a\n.outputs f\n.latch d\n.end\n",
+      Some (4, "malformed .latch") );
+    ( ".model m\n.inputs a\n.outputs f\n.exdc\n.end\n",
+      Some (4, ".exdc is not supported") );
+    ( ".model m\n.inputs a\n.outputs f\nstray line\n.end\n",
+      Some (4, "unexpected line \"stray line\" outside a .names block") );
+    (".model m\n.inputs a\n.outputs f\n.names a f\nbogus\n.end\n", bogus);
+    ( ".model m\n.inputs a\n.outputs f\n.names f\nx\n.end\n",
+      Some (5, "malformed constant line \"x\"") );
+    ( ".model m\n.inputs a\n.outputs f\n.names a f\n1 1 1\n.end\n",
+      Some (5, "malformed cube line \"1 1 1\"") );
+    ( ".model m\n.outputs f\n.names g f\n1 1\n.names f g\n1 1\n.end\n",
+      Some (3, "combinational cycle through f") );
+    ( ".model m\n.inputs a\n.outputs o\n.latch x q\n.names a q d\n11 1\n.end\n",
+      Some (3, "undefined signal o") );
     (* Continuation pathologies around end of input: with a trailing
-       newline the legacy split sees a final empty segment that
+       newline the line split yields a final empty segment that
        flushes the pending line; without one the pending is flushed at
        EOF. Both must be replayed exactly, including the resulting %S
        diagnostic text. *)
-    ".model m\n.inputs a\n.outputs f\n.names a f\nbogus \\\n";
-    ".model m\n.inputs a\n.outputs f\n.names a f\nbogus \\";
-    ".model m\n.inputs a\n.outputs f\n.names a \\\nf\n1 2\n.end\n";
-    ".model m \\\n.inputs a\n.outputs f\n.names a f\n1 1\n.end\n";
-    "" ]
+    (".model m\n.inputs a\n.outputs f\n.names a f\nbogus \\\n", bogus);
+    (".model m\n.inputs a\n.outputs f\n.names a f\nbogus \\", bogus);
+    ( ".model m\n.inputs a\n.outputs f\n.names a \\\nf\n1 2\n.end\n",
+      Some (6, "cube output must be 0 or 1 in \"1 2\"") );
+    ( ".model m \\\n.inputs a\n.outputs f\n.names a f\n1 1\n.end\n",
+      Some (1, "malformed .model") );
+    ("", None) ]
 
 let test_malformed_parity () =
   List.iteri
-    (fun i source -> both (Printf.sprintf "malformed[%d]" i) source)
+    (fun i (source, _) -> both (Printf.sprintf "malformed[%d]" i) source)
+    malformed_catalog
+
+let test_malformed_golden () =
+  List.iteri
+    (fun i (source, expected) ->
+      let got =
+        match Blif.read_string source with
+        | _ -> None
+        | exception Blif.Parse_error { line; message; _ } ->
+          Some (line, message)
+      in
+      check
+        Alcotest.(option (pair int string))
+        (Printf.sprintf "malformed[%d]" i)
+        expected got)
     malformed_catalog
 
 let test_malformed_have_errors () =
   (* Guard against the catalog silently rotting into all-valid
-     sources: most entries must actually error under the legacy
-     reader. *)
+     sources: most entries must actually error under the oracle. *)
   let errors =
     List.filter
-      (fun s ->
-        match outcome_of Blif.read_string s with
+      (fun (s, _) ->
+        match outcome_of Blif_oracle.read_string s with
         | Net _ -> false
         | Err _ | Fail _ -> true)
       malformed_catalog
@@ -283,8 +324,8 @@ let test_read_file_parity () =
       with_temp_file contents (fun path ->
           agree
             (Printf.sprintf "file[%d]" i)
-            (outcome_of Blif.read_file path)
-            (outcome_of Blif_stream.read_file path)))
+            (outcome_of Blif_oracle.read_file path)
+            (outcome_of Blif.read_file path)))
     sources
 
 let test_read_lines_source () =
@@ -301,19 +342,19 @@ let test_read_lines_source () =
       rest := tl;
       Some l
   in
-  let net = Blif_stream.read_lines next in
+  let net = Blif.read_lines next in
   check tstr "model" "src" (Network.name net);
   check tint "pis" 2 (List.length (Network.pis net))
 
 let test_deep_chain_streaming () =
   (* The streaming reader elaborates on an explicit stack; a deep
      chain must parse without Stack_overflow and agree with the
-     legacy reader (which is still within native stack limits at this
-     depth). *)
+     recursive oracle (which is still within native stack limits at
+     this depth). *)
   let net = Generators.nand_chain 120_000 in
   let text = Blif.write_network net in
-  let a = Blif.read_string text in
-  let b = Blif_stream.read_string text in
+  let a = Blif_oracle.read_string text in
+  let b = Blif.read_string text in
   same_network "deep chain" a b;
   (* +1: the writer inserts an alias buffer for the PO name. *)
   check tint "all nodes survive" (Network.num_nodes net + 1) (Network.num_nodes b)
@@ -328,6 +369,7 @@ let () =
           qc qc_mutations ] );
       ( "errors",
         [ Alcotest.test_case "malformed parity" `Quick test_malformed_parity;
+          Alcotest.test_case "malformed golden" `Quick test_malformed_golden;
           Alcotest.test_case "catalog sanity" `Quick
             test_malformed_have_errors ] );
       ( "entry points",

@@ -5,6 +5,7 @@ open Dagmap_genlib
 open Dagmap_subject
 open Dagmap_core
 open Dagmap_circuits
+open Dagmap_flow
 open Dagmap_check
 
 let check = Alcotest.check
@@ -202,8 +203,8 @@ let test_fuzz_clean () =
   in
   let o = Fuzz.run cfg in
   check tint "circuits" 4 o.Fuzz.circuits;
-  (* 3 modes x jobs {1,4} per circuit. *)
-  check tint "cases" (4 * 6) o.Fuzz.cases;
+  (* 3 pattern modes and the cut engine x jobs {1,4} per circuit. *)
+  check tint "cases" (4 * 8) o.Fuzz.cases;
   check tint "no failures" 0 (List.length o.Fuzz.failures)
 
 let test_fuzz_catches_injected_delay_bug () =
@@ -214,7 +215,7 @@ let test_fuzz_catches_injected_delay_bug () =
   let cfg =
     { (Fuzz.default_config (Libraries.lib2_like ())) with
       count = 6;
-      modes = [ Mapper.Tree ];
+      modes = [ Flow.Pattern Mapper.Tree ];
       jobs = [ 1 ];
       max_failures = 1 }
   in
@@ -245,7 +246,7 @@ let test_fuzz_deterministic () =
   let cfg =
     { (Fuzz.default_config (Libraries.lib2_like ())) with
       count = 2;
-      modes = [ Mapper.Dag ];
+      modes = [ Flow.Pattern Mapper.Dag ];
       jobs = [ 1 ] }
   in
   let a = Fuzz.run cfg and b = Fuzz.run cfg in

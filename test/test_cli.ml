@@ -98,6 +98,24 @@ let test_cut_jobs () =
   in
   check tint ("exit code, stderr: " ^ stderr) 0 code
 
+(* Every mode maps on the arena and every file is read by the one
+   streaming reader, so neither switch exists any more. *)
+let test_retired_flags () =
+  List.iter
+    (fun flag ->
+      let code, _ = run [ "map"; "c432"; flag ] in
+      check tint (flag ^ " is a usage error") 124 code)
+    [ "--arena"; "--stream" ]
+
+(* fpga --verify simulates the LUT network -o writes, combinational
+   and sequential. *)
+let test_fpga_verify () =
+  List.iter
+    (fun circuit ->
+      let code, stderr = run [ "fpga"; circuit; "--verify" ] in
+      check tint (circuit ^ ": exit code, stderr: " ^ stderr) 0 code)
+    [ "c880"; "lfsr16" ]
+
 let () =
   Alcotest.run "cli"
     [ ( "hostile libraries",
@@ -106,4 +124,8 @@ let () =
           Alcotest.test_case "negative INV delay" `Quick test_negative_delay;
           Alcotest.test_case "well-formed file" `Quick test_good_library ] );
       ( "cut mode",
-        [ Alcotest.test_case "jobs without --arena" `Quick test_cut_jobs ] ) ]
+        [ Alcotest.test_case "jobs on the cut engine" `Quick test_cut_jobs ] );
+      ( "flags",
+        [ Alcotest.test_case "--arena and --stream retired" `Quick
+            test_retired_flags;
+          Alcotest.test_case "fpga --verify" `Quick test_fpga_verify ] ) ]

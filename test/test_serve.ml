@@ -9,6 +9,7 @@ open Dagmap_subject
 open Dagmap_core
 open Dagmap_circuits
 open Dagmap_obs
+open Dagmap_flow
 open Dagmap_serve
 
 let check = Alcotest.check
@@ -106,8 +107,9 @@ let resolver spec =
     Generators.random_dag ~seed:(int_of_string seed) ~nodes:60 ()
   | _ -> failwith ("no such circuit " ^ spec)
 
-let with_server ?(jobs = 2) ?(queue = 4) ?(io_timeout = 0.0)
-    ?(idle_timeout = 0.0) ?(job_budget = 0.0) ?(faults = Faultplan.none) f =
+let with_server ?(resolver = resolver) ?(jobs = 2) ?(queue = 4)
+    ?(io_timeout = 0.0) ?(idle_timeout = 0.0) ?(job_budget = 0.0)
+    ?(faults = Faultplan.none) f =
   let sock = fresh_sock () in
   let srv =
     Server.create
@@ -356,6 +358,69 @@ let test_server_side_circuit_and_blif_reply () =
     (count_gate_lines blif);
   Client.close c
 
+(* techmap serve resolves circuit= with Flow.circuit_of_spec: named
+   benchmarks and generators only. A path to a file on the daemon's
+   host is an unknown circuit, and the reply never quotes the file. *)
+let test_spec_only_resolver () =
+  let secret = "secret-token-123 do not leak" in
+  let path = Filename.temp_file "techmapd_secret" ".txt" in
+  let oc = open_out path in
+  output_string oc (secret ^ "\n");
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  with_server ~resolver:Flow.circuit_of_spec @@ fun sock _srv ->
+  let c = Client.connect sock in
+  let r =
+    Client.request c
+      { (Proto.request Proto.Map) with Proto.circuit = Some path }
+  in
+  check (Alcotest.option tstr) "file path is no circuit"
+    (Some "unknown_circuit") (str_field "code" r);
+  let text = Json.to_string r in
+  let quoted =
+    let n = String.length secret in
+    let rec go i =
+      i + n <= String.length text
+      && (String.sub text i n = secret || go (i + 1))
+    in
+    go 0
+  in
+  check tbool "reply does not quote the file" false quoted;
+  let r =
+    Client.request c
+      { (Proto.request Proto.Map) with
+        Proto.circuit = Some "c432"; audit = true }
+  in
+  check tstr "named benchmark maps" "ok" (status r);
+  check (Alcotest.option tstr) "audited" (Some "ok") (str_field "audit" r);
+  Client.close c
+
+(* mode=cut runs the CLI's cut engine (priority 8) and agrees with an
+   in-process Flow.map of the same circuit. *)
+let test_cut_mode () =
+  with_server ~resolver:Flow.circuit_of_spec @@ fun sock _srv ->
+  let c = Client.connect sock in
+  let r =
+    Client.request c
+      { (Proto.request Proto.Map) with
+        Proto.circuit = Some "c432"; mode = Some "cut"; audit = true }
+  in
+  check tstr "cut map ok" "ok" (status r);
+  check (Alcotest.option tstr) "cut audit" (Some "ok") (str_field "audit" r);
+  let local =
+    Flow.map
+      (Flow.engine_of_string "cut")
+      (Matchdb.prepare (Libraries.lib2_like ()))
+      (Flow.decompose (Flow.circuit_of_spec "c432"))
+  in
+  let nl = local.Flow.netlist in
+  check (Alcotest.float 0.0) "delay" (Netlist.delay nl) (num_field "delay" r);
+  check (Alcotest.float 0.0) "area" (Netlist.area nl) (num_field "area" r);
+  check (Alcotest.float 0.0) "gates"
+    (float_of_int (Netlist.num_gates nl))
+    (num_field "gates" r);
+  Client.close c
+
 let test_busy_backpressure () =
   with_server ~jobs:1 ~queue:1 @@ fun sock _srv ->
   (* One slow request occupies the single in-flight slot; while it is
@@ -457,7 +522,10 @@ let () =
           Alcotest.test_case "legacy cache=0 request served" `Quick
             test_legacy_cache_key;
           Alcotest.test_case "server-side circuits, blif replies" `Quick
-            test_server_side_circuit_and_blif_reply ] );
+            test_server_side_circuit_and_blif_reply;
+          Alcotest.test_case "circuit= names no file" `Quick
+            test_spec_only_resolver;
+          Alcotest.test_case "mode=cut" `Quick test_cut_mode ] );
       ( "lifecycle",
         [ Alcotest.test_case "busy under overload" `Quick
             test_busy_backpressure;

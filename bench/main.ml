@@ -103,6 +103,11 @@ let gate_of_expr name ~delay n expr =
     ~pins:(Array.init n (fun i -> Gate.simple_pin ~delay (Printf.sprintf "p%d" i)))
     expr
 
+let count_matches cls g ~fanouts p root =
+  let n = ref 0 in
+  Mapper.for_each_match cls g ~fanouts p root (fun _ -> incr n);
+  !n
+
 let run_figure1 () =
   hr "Figure 1: standard match vs extended match";
   Printf.printf
@@ -125,12 +130,12 @@ let run_figure1 () =
     (fun cls ->
       Printf.printf "  %-8s matches of AND2 at the root: %d\n"
         (Matcher.class_name cls)
-        (List.length (Matcher.matches cls g ~fanouts p top)))
+        (count_matches cls g ~fanouts p top))
     [ Matcher.Standard; Matcher.Exact; Matcher.Extended ];
   Printf.printf "  reproduced: standard = 0, extended = 1  %s\n"
     (if
-       Matcher.matches Matcher.Standard g ~fanouts p top = []
-       && List.length (Matcher.matches Matcher.Extended g ~fanouts p top) = 1
+       count_matches Matcher.Standard g ~fanouts p top = 0
+       && count_matches Matcher.Extended g ~fanouts p top = 1
      then "[ok]"
      else "[MISMATCH]")
 
@@ -164,11 +169,11 @@ let run_figure2 () =
   in
   let fanouts = Subject.fanout_counts g in
   Printf.printf "  exact matches at out1/out2:    %d / %d\n"
-    (List.length (Matcher.matches Matcher.Exact g ~fanouts pbig out1))
-    (List.length (Matcher.matches Matcher.Exact g ~fanouts pbig out2));
+    (count_matches Matcher.Exact g ~fanouts pbig out1)
+    (count_matches Matcher.Exact g ~fanouts pbig out2);
   Printf.printf "  standard matches at out1/out2: %d / %d\n"
-    (List.length (Matcher.matches Matcher.Standard g ~fanouts pbig out1))
-    (List.length (Matcher.matches Matcher.Standard g ~fanouts pbig out2));
+    (count_matches Matcher.Standard g ~fanouts pbig out1)
+    (count_matches Matcher.Standard g ~fanouts pbig out2);
   let inv = gate_of_expr "inv" ~delay:0.5 1 Bexpr.(not_ (var 0)) in
   let nand2 =
     gate_of_expr "nand2" ~delay:1.0 2 Bexpr.(not_ (and2 (var 0) (var 1)))
@@ -714,10 +719,7 @@ let run_json quick out_file =
           Clock.time (fun () ->
               Dagmap_cutmap.Cut_mapper.map ~priority:1_000_000 bdb g)
         in
-        let rar, _ =
-          Dagmap_cutmap.Cut_mapper.map_arena ~jobs:4 ~priority:8 ~subject:g
-            bdb (Arena.of_subject g)
-        in
+        let rar = Dagmap_cutmap.Cut_mapper.map ~jobs:4 ~priority:8 bdb g in
         let open Dagmap_cutmap in
         let identical = same_cut_result rar r8 in
         if not identical then cuts_ok := false;
@@ -766,10 +768,10 @@ let run_json quick out_file =
   end
 
 (* Huge tier: `bench json huge [nodes=N] [jobs=J] [FILE]`. One
-   end-to-end production-scale run on the arena path — generate a
-   synthetic SoC, round-trip it through BLIF with the streaming
-   reader, decompose into the flat arena, map (sequentially, then
-   with the arena-parallel labeler), and verify — with every phase
+   end-to-end production-scale run — generate a synthetic SoC,
+   round-trip it through BLIF with the streaming reader, decompose
+   into the flat subject graph, map (sequentially, then with the
+   parallel labeler), and verify — with every phase
    timed and peak RSS recorded. The row lives in the same "rows"
    schema (tier = "huge"), so `bench compare` of two huge snapshots
    gates on its wall time exactly like the quick tier; extra fields —
@@ -787,7 +789,7 @@ let run_json_huge nodes jobs out_file =
   Printf.printf "huge tier: %s (generated in %.1fs)\n%!" (Network.stats net)
     gen_wall;
   let blif_path = Filename.temp_file "dagmap_huge" ".blif" in
-  let parsed, parse_wall, input, build_wall =
+  let parsed, parse_wall, g, build_wall =
     Fun.protect
       ~finally:(fun () -> try Sys.remove blif_path with Sys_error _ -> ())
       (fun () ->
@@ -797,13 +799,12 @@ let run_json_huge nodes jobs out_file =
         let parsed, parse_wall =
           Clock.time (fun () -> Blif.read_file blif_path)
         in
-        let input, build_wall = Clock.time (fun () -> Flow.decompose parsed) in
-        (parsed, parse_wall, input, build_wall))
+        let g, build_wall = Clock.time (fun () -> Flow.decompose parsed) in
+        (parsed, parse_wall, g, build_wall))
   in
-  let arena = input.Flow.arena and g = input.Flow.subject in
   Printf.printf "  parsed %d network nodes in %.1fs (streaming)\n%!"
     (Network.num_nodes parsed) parse_wall;
-  Printf.printf "  %s, built in %.1fs\n%!" (Arena.stats arena) build_wall;
+  Printf.printf "  %s, built in %.1fs\n%!" (Subject.arena_stats g) build_wall;
   let db = Matchdb.prepare (Option.get (Libraries.by_name "44-1")) in
   let audit_clean (r : Flow.result) =
     Check.audit g ~predicted:r.Flow.predicted r.Flow.netlist = []
@@ -820,7 +821,7 @@ let run_json_huge nodes jobs out_file =
     | Flow.Pattern_run _ -> invalid_arg "cut_run"
   in
   let fr, map_wall, map_cpu =
-    Clock.time_wall_cpu (fun () -> Flow.map dag db input)
+    Clock.time_wall_cpu (fun () -> Flow.map dag db g)
   in
   let r = pattern_run fr in
   let clean = audit_clean fr in
@@ -840,23 +841,23 @@ let run_json_huge nodes jobs out_file =
       ~extra:
         [ ("tier", Json.String "huge");
           ("network_nodes", Json.Int nodes);
-          ("subject_nodes", Json.Int (Arena.num_nodes arena));
+          ("subject_nodes", Json.Int (Subject.num_nodes g));
           ("generate_seconds", Json.Float gen_wall);
           ("parse_seconds", Json.Float parse_wall);
           ("arena_build_seconds", Json.Float build_wall);
-          ("arena_mem_bytes", Json.Int (Arena.mem_bytes arena));
+          ("arena_mem_bytes", Json.Int (Subject.mem_bytes g));
           ("check_clean", Json.Bool clean) ]
       ~circuit:(Printf.sprintf "soc%d" nodes)
       ~library:"44-1" ~mode:"dag" r.Mapper.netlist ~wall:map_wall ~cpu:map_cpu
       ()
   in
-  (* Arena-parallel labeling over the same arena: the speedup the
-     flat core exists for. Identity to the sequential arena result is
+  (* Parallel labeling over the same graph: the speedup the flat
+     core exists for. Identity to the sequential result is
      a hard gate (bit-equal labels, same cover); the wall/speedup
      numbers are report-only — they measure the machine's core count
      as much as the code. *)
   let rpar, par_wall, par_cpu =
-    Clock.time_wall_cpu (fun () -> pattern_run (Flow.map ~jobs dag db input))
+    Clock.time_wall_cpu (fun () -> pattern_run (Flow.map ~jobs dag db g))
   in
   let par_stats = rpar.Mapper.par in
   let par_identical =
@@ -888,14 +889,14 @@ let run_json_huge nodes jobs out_file =
         ("chunks", Json.Int par_stats.Parmap.chunks);
         ("identical", Json.Bool par_identical) ]
   in
-  (* Priority-cut engine over the same arena: sequential vs
+  (* Priority-cut engine over the same graph: sequential vs
      [jobs]-parallel enumeration. Parity is a hard exit gate exactly
      like the structural labeler's; the delay delta vs the dag row is
      report-only (the cut engine is a pruned heuristic). *)
   let fc, cut_wall, cut_cpu =
-    Clock.time_wall_cpu (fun () -> Flow.map cut db input)
+    Clock.time_wall_cpu (fun () -> Flow.map cut db g)
   in
-  let fcp, cut_par_wall = Clock.time (fun () -> Flow.map ~jobs cut db input) in
+  let fcp, cut_par_wall = Clock.time (fun () -> Flow.map ~jobs cut db g) in
   let rc = cut_run fc in
   let cut_identical = same_cut_result (cut_run fcp) rc in
   let cut_clean = audit_clean fc in
@@ -1023,12 +1024,12 @@ let run_compare_json new_file base_file =
         Printf.printf "%-8s %-6s %-5s | %8.3fs | %8.3fs | %6.2fx | %s\n" c l
           m wb wn ratio mem)
     (rows doc_new);
-  (* Arena-parallel section (huge tier): label wall and speedup
+  (* Parallel section (huge tier): label wall and speedup
      depend on the machine's core count, so until a same-hardware
      baseline is checked in this column is report-only — printed,
      never gated. (Correctness is gated at generation time: `json
      huge` exits nonzero unless the parallel labels are bit-identical
-     to the sequential arena pass.) *)
+     to the sequential pass.) *)
   let par_info doc =
     match Json.member "parallel" doc with
     | None -> None

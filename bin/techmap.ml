@@ -110,15 +110,14 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file
   in
   let db = Matchdb.prepare lib in
   let engine = Flow.engine_of_string ~priority mode_s in
-  let input = Flow.decompose net in
-  let sg = input.Flow.subject in
+  let sg = Flow.decompose net in
   Printf.printf "circuit %s: %s\n" circuit (Subject.stats sg);
   Printf.printf "library %s: %d gates, %d patterns\n" lib.Libraries.lib_name
     (List.length lib.Libraries.gates)
     (List.length lib.Libraries.patterns);
   let jobs = resolve_jobs jobs in
   let t0 = Clock.now () in
-  let r = Flow.map ~jobs engine db input in
+  let r = Flow.map ~jobs engine db sg in
   let dt = Clock.now () -. t0 in
   (match r.Flow.run with
    | Flow.Cut_run c ->
@@ -157,7 +156,7 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file
     (Flow.engine_name engine) (Netlist.delay nl) (Netlist.area nl)
     (Netlist.num_gates nl) (Netlist.duplication nl) dt;
   if show_stats then begin
-    Printf.printf "%s\n" (Arena.stats input.Flow.arena);
+    Printf.printf "%s\n" (Subject.arena_stats sg);
     match r.Flow.run with
     | Flow.Pattern_run p ->
       print_mapper_stats p.Mapper.run
@@ -193,7 +192,7 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file
     Format.printf "%a@?" Sta.pp_path report
   end;
   if verify then begin
-    let n_inputs = List.length (Subject.pi_ids sg) in
+    let n_inputs = sg.Subject.num_pis in
     let verdict =
       Equiv.compare_sims ~n_inputs (Simulate.subject sg) (Simulate.netlist nl)
     in
@@ -226,9 +225,9 @@ let run_check circuit lib_spec super_file mode_s jobs =
   let db = Matchdb.prepare (Flow.load_library ?super:super_file lib_spec) in
   let engine = Flow.engine_of_string mode_s in
   let jobs = resolve_jobs jobs in
-  let input = Flow.decompose net in
-  Printf.printf "circuit %s: %s\n" circuit (Subject.stats input.Flow.subject);
-  let r = Flow.map ~jobs engine db input in
+  let g = Flow.decompose net in
+  Printf.printf "circuit %s: %s\n" circuit (Subject.stats g);
+  let r = Flow.map ~jobs engine db g in
   let nl = r.Flow.netlist in
   Printf.printf "%s mapping: delay=%.2f area=%.0f gates=%d\n"
     (Flow.engine_name engine) (Netlist.delay nl) (Netlist.area nl)
@@ -250,7 +249,7 @@ let run_check circuit lib_spec super_file mode_s jobs =
   if s = [] then begin
     (* Timing and simulation are undefined on a malformed netlist. *)
     section "delay" (Check.delay ~predicted:r.Flow.predicted nl);
-    section "functional" (Check.functional input.Flow.subject nl)
+    section "functional" (Check.functional g nl)
   end
   else Printf.printf "delay/functional audits skipped (structural failure)\n";
   if !failed then exit 2
@@ -355,7 +354,7 @@ let run_superlib lib_spec out depth pins size cap fusion class_cap jobs
 (* ------------------------------------------------------------------ *)
 
 let run_fpga circuit k out_file verify =
-  let sg = (Flow.decompose (Flow.load_circuit circuit)).Flow.subject in
+  let sg = Flow.decompose (Flow.load_circuit circuit) in
   Printf.printf "circuit %s: %s\n" circuit (Subject.stats sg);
   let t0 = Clock.now () in
   let cover = Flowmap.map ~k sg in
@@ -372,7 +371,7 @@ let run_fpga circuit k out_file verify =
      close_out oc;
      Printf.printf "wrote %s\n" path);
   if verify then begin
-    let n_inputs = List.length (Subject.pi_ids sg) in
+    let n_inputs = sg.Subject.num_pis in
     let verdict =
       Equiv.compare_sims ~n_inputs (Simulate.subject sg)
         (Simulate.network lut_net)
@@ -407,10 +406,10 @@ let run_retime circuit lib_spec mode_s =
 (* ------------------------------------------------------------------ *)
 
 let run_compare circuit lib_spec =
-  let input = Flow.decompose (Flow.load_circuit circuit) in
+  let g = Flow.decompose (Flow.load_circuit circuit) in
   let lib = Flow.load_library lib_spec in
   let db = Matchdb.prepare lib in
-  Printf.printf "circuit %s: %s\n" circuit (Subject.stats input.Flow.subject);
+  Printf.printf "circuit %s: %s\n" circuit (Subject.stats g);
   Printf.printf "library %s: %d gates\n\n" lib.Libraries.lib_name
     (List.length lib.Libraries.gates);
   Printf.printf "%-13s | %8s | %10s | %6s | %5s | %7s\n" "engine" "delay"
@@ -423,7 +422,7 @@ let run_compare circuit lib_spec =
   List.iter
     (fun engine ->
       let t0 = Clock.now () in
-      let r = Flow.map engine db input in
+      let r = Flow.map engine db g in
       let dt = Clock.now () -. t0 in
       (match engine with
        | Flow.Cut { priority } ->
@@ -432,9 +431,7 @@ let run_compare circuit lib_spec =
       match r.Flow.run with
       | Flow.Pattern_run p when engine = Flow.Pattern Mapper.Dag ->
         let t1 = Clock.now () in
-        let recovered =
-          Area_recovery.recover db Mapper.Dag input.Flow.subject p
-        in
+        let recovered = Area_recovery.recover db Mapper.Dag g p in
         report "dag+recover" recovered (Clock.now () -. t1)
       | Flow.Pattern_run _ | Flow.Cut_run _ -> ())
     [ Flow.Pattern Mapper.Tree;
@@ -466,7 +463,7 @@ let run_circuits () =
     (fun (name, f) ->
       let net = f () in
       Printf.printf "%-10s %s | %s\n" name (Network.stats net)
-        (Subject.stats (Flow.decompose net).Flow.subject))
+        (Subject.stats (Flow.decompose net)))
     Flow.named_circuits
 
 (* ------------------------------------------------------------------ *)

@@ -22,7 +22,9 @@ let gate_of_expr name ~delay n expr =
 
 let count cls g p root =
   let fanouts = Subject.fanout_counts g in
-  List.length (Matcher.matches cls g ~fanouts p root)
+  let n = ref 0 in
+  Mapper.for_each_match cls g ~fanouts p root (fun _ -> incr n);
+  !n
 
 let () =
   (* ---------------- Figure 1 ---------------- *)

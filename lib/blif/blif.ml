@@ -425,7 +425,7 @@ let write_netlist nl =
       + (64 * (Array.length nl.Netlist.instances + List.length nl.Netlist.outputs)))
   in
   Buffer.add_string buf ".model mapped\n";
-  let pi_name id = Printf.sprintf "%s" g.Subject.names.(id) in
+  let pi_name id = Subject.pi_name g id in
   let pis = Subject.pi_ids g in
   Buffer.add_string buf
     (".inputs " ^ String.concat " " (List.map pi_name pis) ^ "\n");

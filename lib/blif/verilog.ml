@@ -121,7 +121,7 @@ let write_netlist ?(module_name = "mapped") ?(cell_style = false) nl =
   let g = nl.Netlist.source in
   let nm = new_namer () in
   let buf = Buffer.create 4096 in
-  let pi_name id = ident nm g.Subject.names.(id) in
+  let pi_name id = ident nm (Subject.pi_name g id) in
   let pis = Subject.pi_ids g in
   let pi_names = List.map pi_name pis in
   let po_names =

@@ -78,9 +78,7 @@ let structural nl =
       (fun inst ->
         Array.iter
           (fun v ->
-            if v >= 0 && v < Subject.num_nodes src
-               && Subject.kind src v = Subject.Spi
-            then
+            if v >= 0 && v < Subject.num_nodes src && Subject.is_pi src v then
               report "instance %d covers primary input %d"
                 inst.Netlist.inst_id v)
           inst.Netlist.covers)
@@ -139,7 +137,7 @@ let delay ?(epsilon = 1e-6) ~predicted nl =
   List.rev !issues
 
 let functional ?(rounds = 16) ?seed g nl =
-  let n_inputs = List.length (Subject.pi_ids g) in
+  let n_inputs = g.Subject.num_pis in
   let verdict =
     Equiv.compare_sims ~rounds ?seed ~n_inputs (Simulate.subject g)
       (Simulate.netlist nl)

@@ -73,9 +73,9 @@ let cases_of cfg =
    itself a finding — the shrinker must be able to chase it. *)
 let issues_of cfg case net =
   match
-    let input = Flow.decompose net in
-    let r = Flow.map ~jobs:case.c_jobs case.engine case.db input in
-    Check.audit ~epsilon:cfg.epsilon ~rounds:cfg.rounds input.Flow.subject
+    let g = Flow.decompose net in
+    let r = Flow.map ~jobs:case.c_jobs case.engine case.db g in
+    Check.audit ~epsilon:cfg.epsilon ~rounds:cfg.rounds g
       ~predicted:r.Flow.predicted r.Flow.netlist
   with
   | issues -> issues

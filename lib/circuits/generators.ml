@@ -446,7 +446,7 @@ let nand_chain n =
   (* NAND (not NOT) links: an inverter chain would collapse under the
      subject builder's inverter-pair cancellation, while NAND(prev, x)
      nodes are all structurally distinct — network depth survives into
-     the subject/arena, which is what the stack-safety tests need. *)
+     the subject graph, which is what the stack-safety tests need. *)
   let net = Network.create ~name:(Printf.sprintf "chain%d" n) () in
   let x = Network.add_pi net "x" in
   let prev = ref x in

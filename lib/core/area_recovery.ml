@@ -6,16 +6,14 @@ let epsilon = 1e-9
 (* Area flow (standard mapper heuristic): the estimated area of a
    node's cone when shared fanout amortizes cost,
    af(n) = min over matches (area + sum af(leaf) / fanout(leaf)). *)
-let area_flow db cls g a ~fanouts ~levels =
+let area_flow db cls g ~fanouts ~levels =
   let n = Subject.num_nodes g in
   let af = Array.make n 0.0 in
   for node = 0 to n - 1 do
-    match Subject.kind g node with
-    | Spi -> af.(node) <- 0.0
-    | Snand _ | Sinv _ ->
+    if not (Subject.is_pi g node) then begin
       let best = ref infinity in
       ignore
-        (Mapper.for_each_node_match db cls a ~fanouts ~levels node (fun m ->
+        (Mapper.for_each_node_match db cls g ~fanouts ~levels node (fun m ->
              let gate = Matcher.gate m in
              let cost = ref gate.Gate.area in
              Array.iter
@@ -28,6 +26,7 @@ let area_flow db cls g a ~fanouts ~levels =
                m.Matcher.pins;
              if !cost < !best then best := !cost));
       af.(node) <- !best
+    end
   done;
   af
 
@@ -35,25 +34,21 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
   let cls = Mapper.mode_class mode in
   let labels = result.Mapper.labels in
   let n = Subject.num_nodes g in
-  let a = Arena.of_subject g in
-  let fanouts = Arena.fanout_counts a in
-  let levels = Arena.levels a in
-  let af = area_flow db cls g a ~fanouts ~levels in
+  let fanouts = Subject.fanout_counts g in
+  let levels = Subject.levels g in
+  let af = area_flow db cls g ~fanouts ~levels in
   let budget = Array.make n infinity in
   let needed = Array.make n false in
   let worst =
-    List.fold_left
-      (fun acc o -> Float.max acc labels.(o.Subject.out_node))
+    Array.fold_left
+      (fun acc (_, node) -> Float.max acc labels.(node))
       0.0 g.Subject.outputs
   in
-  List.iter
-    (fun o ->
-      let node = o.Subject.out_node in
+  Array.iter
+    (fun (_, node) ->
       let target = if per_output then labels.(node) else worst in
       budget.(node) <- Float.min budget.(node) target;
-      match Subject.kind g node with
-      | Spi -> ()
-      | Snand _ | Sinv _ -> needed.(node) <- true)
+      if not (Subject.is_pi g node) then needed.(node) <- true)
     g.Subject.outputs;
   let chosen = Array.make n None in
   (* Reverse topological sweep: all users of a node have higher ids,
@@ -65,7 +60,7 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
       let best = ref None in
       let best_cost = ref (infinity, infinity) in
       ignore
-        (Mapper.for_each_node_match db cls a ~fanouts ~levels node (fun m ->
+        (Mapper.for_each_node_match db cls g ~fanouts ~levels node (fun m ->
              let gate = Matcher.gate m in
              let arrival = ref 0.0 in
              Array.iteri
@@ -84,7 +79,7 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
                      pin_node >= 0
                      && (not needed.(pin_node))
                      && (not (List.mem pin_node !counted))
-                     && Subject.kind g pin_node <> Spi
+                     && not (Subject.is_pi g pin_node)
                    then begin
                      counted := pin_node :: !counted;
                      area := !area +. af.(pin_node)
@@ -114,9 +109,7 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
           if pin_node >= 0 then begin
             let slack = budget.(node) -. Gate.intrinsic_delay gate pin in
             budget.(pin_node) <- Float.min budget.(pin_node) slack;
-            match Subject.kind g pin_node with
-            | Spi -> ()
-            | Snand _ | Sinv _ -> needed.(pin_node) <- true
+            if not (Subject.is_pi g pin_node) then needed.(pin_node) <- true
           end)
         m.Matcher.pins
     end
@@ -129,9 +122,8 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
   let index = Hashtbl.create 64 in
   List.iteri (fun i node -> Hashtbl.replace index node i) !order;
   let driver_of node =
-    match Subject.kind g node with
-    | Spi -> Netlist.D_pi node
-    | Snand _ | Sinv _ -> Netlist.D_gate (Hashtbl.find index node)
+    if Subject.is_pi g node then Netlist.D_pi node
+    else Netlist.D_gate (Hashtbl.find index node)
   in
   let instances =
     Array.of_list
@@ -152,9 +144,11 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
   in
   let outputs =
     List.map
-      (fun o -> (o.Subject.out_name, driver_of o.Subject.out_node))
-      g.Subject.outputs
-    @ List.map (fun (name, b) -> (name, Netlist.D_const b)) g.Subject.const_outputs
+      (fun (name, node) -> (name, driver_of node))
+      (Array.to_list g.Subject.outputs)
+    @ List.map
+        (fun (name, b) -> (name, Netlist.D_const b))
+        g.Subject.const_outputs
   in
   let recovered = { Netlist.source = g; instances; outputs } in
   (* The area-flow heuristic is not guaranteed to beat the

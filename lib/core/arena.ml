@@ -1,310 +1,3 @@
-open Dagmap_logic
-open Dagmap_subject
+include Dagmap_subject.Subject
 
-type iarr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type t = {
-  fanin0 : iarr;
-  fanin1 : iarr;
-  n : int;
-  num_pis : int;
-  pi_nodes : int array;
-  pi_names : string array;
-  outputs : (string * int) array;
-  const_outputs : (string * bool) list;
-  n_latches : int;
-  mutable levels_memo : int array option;
-}
-
-let num_nodes a = a.n
-
-let is_pi a i = Bigarray.Array1.unsafe_get a.fanin0 i < 0
-
-let fanin0 a i = Bigarray.Array1.get a.fanin0 i
-let fanin1 a i = Bigarray.Array1.get a.fanin1 i
-
-let kind a i =
-  let f0 = Bigarray.Array1.get a.fanin0 i in
-  if f0 < 0 then Subject.Spi
-  else
-    let f1 = Bigarray.Array1.get a.fanin1 i in
-    if f1 < 0 then Subject.Sinv f0 else Subject.Snand (f0, f1)
-
-let mem_bytes a = 2 * 8 * a.n
-
-(* ------------------------------------------------------------------ *)
-(* Builder                                                             *)
-(* ------------------------------------------------------------------ *)
-
-module Builder = struct
-  type graph = t
-
-  type t = {
-    mutable f0 : int array;
-    mutable f1 : int array;
-    mutable count : int;
-    mutable pi_ids_rev : int list;
-    mutable pi_names_rev : string list;
-    mutable outs_rev : (string * int) list;
-    mutable consts_rev : (string * bool) list;
-    (* Structural hash on packed int keys: NAND(x, y) with x <= y is
-       [x lsl 31 lor y]; INV(x) is [-(x + 1)]. Node ids stay below
-       2^31, so NAND keys are distinct non-negative ints and INV keys
-       distinct negative ints. *)
-    hash : (int, int) Hashtbl.t;
-  }
-
-  let create ?(hint = 1024) () =
-    let hint = max hint 16 in
-    { f0 = Array.make hint 0;
-      f1 = Array.make hint 0;
-      count = 0;
-      pi_ids_rev = [];
-      pi_names_rev = [];
-      outs_rev = [];
-      consts_rev = [];
-      hash = Hashtbl.create (max 64 (hint / 4)) }
-
-  let max_id = (1 lsl 31) - 1
-
-  let push b f0 f1 =
-    let id = b.count in
-    if id > max_id then invalid_arg "Arena.Builder: node id overflow";
-    if id = Array.length b.f0 then begin
-      let cap = 2 * id in
-      let g0 = Array.make cap 0 and g1 = Array.make cap 0 in
-      Array.blit b.f0 0 g0 0 id;
-      Array.blit b.f1 0 g1 0 id;
-      b.f0 <- g0;
-      b.f1 <- g1
-    end;
-    b.f0.(id) <- f0;
-    b.f1.(id) <- f1;
-    b.count <- id + 1;
-    id
-
-  let pi b name =
-    b.pi_names_rev <- name :: b.pi_names_rev;
-    let id = push b (-1) (-1) in
-    b.pi_ids_rev <- id :: b.pi_ids_rev;
-    id
-
-  let check b i =
-    if i < 0 || i >= b.count then invalid_arg "Arena.Builder: bad node id"
-
-  let nand_key x y = (x lsl 31) lor y
-  let inv_key x = -(x + 1)
-
-  let hashed b key f0 f1 =
-    match Hashtbl.find_opt b.hash key with
-    | Some id -> id
-    | None ->
-      let id = push b f0 f1 in
-      Hashtbl.add b.hash key id;
-      id
-
-  let inv b x =
-    check b x;
-    (* Inverter-pair cancellation, mirroring Subject.Builder.inv. *)
-    if b.f0.(x) >= 0 && b.f1.(x) < 0 then b.f0.(x)
-    else hashed b (inv_key x) x (-1)
-
-  (* nand(x, x) folds to inv x so every node stays matchable under the
-     one-to-one match class — same rule as Subject.Builder.nand. *)
-  let nand b x y =
-    check b x;
-    check b y;
-    if x = y then inv b x
-    else
-      let x, y = if x <= y then (x, y) else (y, x) in
-      hashed b (nand_key x y) x y
-
-  let raw_nand b x y =
-    check b x;
-    check b y;
-    push b x y
-
-  let raw_inv b x =
-    check b x;
-    push b x (-1)
-
-  let output b name node =
-    check b node;
-    b.outs_rev <- (name, node) :: b.outs_rev
-
-  let const_output b name value = b.consts_rev <- (name, value) :: b.consts_rev
-
-  let finish ?(n_latches = 0) b =
-    let n = b.count in
-    let fanin0 = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-    let fanin1 = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set fanin0 i b.f0.(i);
-      Bigarray.Array1.unsafe_set fanin1 i b.f1.(i)
-    done;
-    let pi_nodes = Array.of_list (List.rev b.pi_ids_rev) in
-    { fanin0;
-      fanin1;
-      n;
-      num_pis = Array.length pi_nodes;
-      pi_nodes;
-      pi_names = Array.of_list (List.rev b.pi_names_rev);
-      outputs = Array.of_list (List.rev b.outs_rev);
-      const_outputs = List.rev b.consts_rev;
-      n_latches;
-      levels_memo = None }
-end
-
-(* ------------------------------------------------------------------ *)
-(* Conversion boundary                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let of_subject (g : Subject.t) =
-  let n = Subject.num_nodes g in
-  let fanin0 = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-  let fanin1 = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-  let pis = ref [] in
-  let npis = ref 0 in
-  for i = n - 1 downto 0 do
-    match g.Subject.kinds.(i) with
-    | Subject.Spi ->
-      Bigarray.Array1.unsafe_set fanin0 i (-1);
-      Bigarray.Array1.unsafe_set fanin1 i (-1);
-      pis := i :: !pis;
-      incr npis
-    | Subject.Sinv x ->
-      Bigarray.Array1.unsafe_set fanin0 i x;
-      Bigarray.Array1.unsafe_set fanin1 i (-1)
-    | Subject.Snand (x, y) ->
-      Bigarray.Array1.unsafe_set fanin0 i x;
-      Bigarray.Array1.unsafe_set fanin1 i y
-  done;
-  let pi_nodes = Array.of_list !pis in
-  { fanin0;
-    fanin1;
-    n;
-    num_pis = !npis;
-    pi_nodes;
-    pi_names = Array.map (fun i -> g.Subject.names.(i)) pi_nodes;
-    outputs =
-      Array.of_list
-        (List.map
-           (fun o -> (o.Subject.out_name, o.Subject.out_node))
-           g.Subject.outputs);
-    const_outputs = g.Subject.const_outputs;
-    n_latches = g.Subject.n_latches;
-    levels_memo = None }
-
-let to_subject a =
-  let kinds = Array.init a.n (fun i -> kind a i) in
-  (* Subject.Builder names every gate "g<id>"; reproduce that so the
-     round-trip is an exact record equality on builder-made graphs. *)
-  let names = Array.init a.n (fun i -> Printf.sprintf "g%d" i) in
-  Array.iteri (fun o node -> names.(node) <- a.pi_names.(o)) a.pi_nodes;
-  Subject.of_parts ~kinds ~names
-    ~outputs:
-      (Array.to_list
-         (Array.map
-            (fun (name, node) ->
-              { Subject.out_name = name; Subject.out_node = node })
-            a.outputs))
-    ~const_outputs:a.const_outputs ~num_pis:a.num_pis ~n_latches:a.n_latches
-
-module Decompose = Subject.Decompose (struct
-  type b = Builder.t
-
-  let pi = Builder.pi
-  let inv = Builder.inv
-  let nand = Builder.nand
-  let output = Builder.output
-  let const_output = Builder.const_output
-end)
-
-let of_network ?style net =
-  let b = Builder.create ~hint:(4 * Network.num_nodes net) () in
-  Decompose.run ?style b net;
-  Builder.finish ~n_latches:(List.length (Network.latches net)) b
-
-(* ------------------------------------------------------------------ *)
-(* Derived per-node arrays                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The arena is immutable once built, so the O(n) level sweep runs at
-   most once per graph and is shared by [level_ranges], [by_level],
-   [depth] and every labeler — a single map used to walk the graph
-   three times (levels, then level_ranges, then depth) before the
-   first match was even tried. The memo write is a single pointer
-   store of an array that is never mutated afterwards, so a racing
-   recompute from another domain is redundant work, not a hazard. *)
-let levels a =
-  match a.levels_memo with
-  | Some lv -> lv
-  | None ->
-    let lv = Array.make a.n 0 in
-    for i = 0 to a.n - 1 do
-      let f0 = Bigarray.Array1.unsafe_get a.fanin0 i in
-      if f0 >= 0 then begin
-        let f1 = Bigarray.Array1.unsafe_get a.fanin1 i in
-        let below =
-          if f1 < 0 then Array.unsafe_get lv f0
-          else max (Array.unsafe_get lv f0) (Array.unsafe_get lv f1)
-        in
-        Array.unsafe_set lv i (below + 1)
-      end
-    done;
-    a.levels_memo <- Some lv;
-    lv
-
-let fanout_counts a =
-  let counts = Array.make a.n 0 in
-  for i = 0 to a.n - 1 do
-    let f0 = Bigarray.Array1.unsafe_get a.fanin0 i in
-    if f0 >= 0 then begin
-      counts.(f0) <- counts.(f0) + 1;
-      let f1 = Bigarray.Array1.unsafe_get a.fanin1 i in
-      if f1 >= 0 then counts.(f1) <- counts.(f1) + 1
-    end
-  done;
-  Array.iter (fun (_, node) -> counts.(node) <- counts.(node) + 1) a.outputs;
-  counts
-
-let depth a =
-  let lv = levels a in
-  Array.fold_left (fun acc (_, node) -> max acc lv.(node)) 0 a.outputs
-
-let level_ranges a =
-  let lv = levels a in
-  let maxl = Array.fold_left max 0 lv in
-  let starts = Array.make (maxl + 2) 0 in
-  Array.iter (fun l -> starts.(l + 1) <- starts.(l + 1) + 1) lv;
-  for l = 1 to maxl + 1 do
-    starts.(l) <- starts.(l) + starts.(l - 1)
-  done;
-  let order = Array.make a.n 0 in
-  let fill = Array.copy starts in
-  (* Counting sort in node order: stable, so ids ascend within each
-     level — the same order Subject.by_level produces. *)
-  Array.iteri
-    (fun node l ->
-      order.(fill.(l)) <- node;
-      fill.(l) <- fill.(l) + 1)
-    lv;
-  (order, starts)
-
-let by_level a =
-  let order, starts = level_ranges a in
-  Array.init
-    (Array.length starts - 1)
-    (fun l -> Array.sub order starts.(l) (starts.(l + 1) - starts.(l)))
-
-let stats a =
-  let nands = ref 0 and invs = ref 0 in
-  for i = 0 to a.n - 1 do
-    let f0 = Bigarray.Array1.unsafe_get a.fanin0 i in
-    if f0 >= 0 then
-      if Bigarray.Array1.unsafe_get a.fanin1 i >= 0 then incr nands
-      else incr invs
-  done;
-  Printf.sprintf "arena: pi=%d out=%d nand=%d inv=%d depth=%d (%d KiB off-heap)"
-    a.num_pis (Array.length a.outputs) !nands !invs (depth a)
-    (mem_bytes a / 1024)
+let to_subject g = g

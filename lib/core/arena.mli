@@ -1,118 +1,10 @@
-(** Flat struct-of-arrays subject arena.
+(** Compatibility alias: the subject graph is {!Dagmap_subject.Subject},
+    which stores it flat. It is kept so that code naming [Arena] keeps
+    compiling; new code names [Subject]. *)
 
-    The record-per-node [Subject.t] spends million-node traversals in
-    pointer-chasing and allocator pressure: every [Snand]/[Sinv] kind
-    is a boxed variant, and structural hashing keys on those boxes.
-    The arena stores the same graph as two off-heap int vectors
-    (node = index), so labeling sweeps are cache-friendly int reads
-    the GC never scans, and structural hashing keys on packed ints.
-
-    Encoding (one int pair per node, [-1] as the sentinel):
-
-    {v
-      fanin0   fanin1    node kind
-      ------   ------    ---------
-        -1       -1      PI (or latch output)
-        x >= 0   -1      INV(x)
-        x >= 0   y >= 0  NAND(x, y), x <= y for hashed nodes
-    v}
-
-    Fanins always point at strictly smaller indices, so index order is
-    a topological order — the same invariant [Subject.Builder]
-    maintains. [of_subject]/[to_subject] are exact inverses on graphs
-    produced by [Subject.Builder] (node-for-node, name-for-name), which
-    keeps [Network]/[Netlist] and the whole [lib/check] stack working
-    unchanged as a thin conversion boundary. *)
-
-open Dagmap_logic
-open Dagmap_subject
-
-type iarr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type t = private {
-  fanin0 : iarr;                 (** per-node first fanin / PI sentinel *)
-  fanin1 : iarr;                 (** per-node second fanin / INV sentinel *)
-  n : int;                       (** number of nodes *)
-  num_pis : int;
-  pi_nodes : int array;          (** arena ids of the PIs, in PI order *)
-  pi_names : string array;       (** names parallel to [pi_nodes] *)
-  outputs : (string * int) array;(** POs then latch pseudo-outputs *)
-  const_outputs : (string * bool) list;
-  n_latches : int;
-  mutable levels_memo : int array option;
-      (** memoized {!levels} result — the graph is immutable once
-          built, so the O(n) level sweep runs at most once and is
-          shared by [level_ranges]/[by_level]/[depth] (private record:
-          only [Arena.levels] itself writes it) *)
-}
-
-val num_nodes : t -> int
-val is_pi : t -> int -> bool
-val fanin0 : t -> int -> int
-val fanin1 : t -> int -> int
-
-val kind : t -> int -> Subject.kind
-(** Boxed view of one node (conversion and test convenience; hot loops
-    read the fanin arrays directly). *)
-
-val mem_bytes : t -> int
-(** Off-heap bytes held by the fanin vectors. *)
-
-val of_subject : Subject.t -> t
-(** Node-for-node copy (including any [raw_nand]/[raw_inv]
-    duplicates — no re-hashing). *)
-
-val to_subject : t -> Subject.t
-(** Inverse of {!of_subject}; gate names are synthesized as ["g<id>"],
-    exactly as [Subject.Builder] names them. *)
-
-val of_network : ?style:Subject.style -> Network.t -> t
-(** NAND2-INV decomposition straight into the arena, via the same
-    [Subject.Decompose] walk as [Subject.of_network] — the resulting
-    arena is structurally identical to
-    [of_subject (Subject.of_network ?style net)]. *)
-
-val levels : t -> int array
-(** Unit-delay level per node (PIs at 0); computed by a single
-    forward sweep on first use and memoized — repeated calls (and
-    {!level_ranges}/{!by_level}/{!depth}, which all start from it)
-    share one array. Callers must not mutate the result. *)
-
-val fanout_counts : t -> int array
-(** Fanout per node; each output reference counts once. *)
-
-val depth : t -> int
-(** Max level over output drivers. *)
-
-val level_ranges : t -> int array * int array
-(** [(order, starts)]: [order] is a permutation of node ids sorted by
-    (level, id); level [l] occupies [order.(starts.(l)) ..
-    order.(starts.(l+1) - 1)]. [starts] has [depth_overall + 2]
-    entries. These dense index ranges are the parallelization fronts
-    as contiguous slices — no per-level node lists. *)
-
-val by_level : t -> int array array
-(** Same grouping as [Subject.by_level], built from {!level_ranges}. *)
-
-val stats : t -> string
-
-(** Arena builder: same semantics as [Subject.Builder] (structural
-    hashing with commutative NAND, [nand x x] folding to [inv x],
-    inverter-pair cancellation, raw variants) but hashing on packed
-    int keys instead of boxed kinds. *)
-module Builder : sig
-  type graph = t
-  type t
-
-  val create : ?hint:int -> unit -> t
-  (** [hint] pre-sizes the node vectors (default 1024). *)
-
-  val pi : t -> string -> int
-  val nand : t -> int -> int -> int
-  val inv : t -> int -> int
-  val raw_nand : t -> int -> int -> int
-  val raw_inv : t -> int -> int
-  val output : t -> string -> int -> unit
-  val const_output : t -> string -> bool -> unit
-  val finish : ?n_latches:int -> t -> graph
+include module type of struct
+  include Dagmap_subject.Subject
 end
+
+val to_subject : t -> t
+(** The identity. *)

@@ -1,1 +1,1 @@
-let map ?subject mode db a = Mapper.map_arena ?subject mode db a
+let map ?subject:_ mode db g = Mapper.map mode db g

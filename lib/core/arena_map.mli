@@ -1,9 +1,9 @@
-(** Compatibility alias for callers that map an {!Arena} directly.
-    The labeling engine itself lives in {!Mapper}. *)
+(** Compatibility alias for callers that name [Arena_map]. The
+    labeling engine itself lives in {!Mapper}. *)
 
 open Dagmap_subject
 
 val map :
-  ?subject:Subject.t -> Mapper.mode -> Matchdb.t -> Arena.t -> Mapper.result
-(** [map ?subject mode db a] is [Mapper.map_arena ?subject mode db a]
-    with one domain. *)
+  ?subject:Subject.t -> Mapper.mode -> Matchdb.t -> Subject.t -> Mapper.result
+(** [map ?subject mode db g] is [Mapper.map mode db g]; [subject] is
+    ignored, since the graph is its own netlist source. *)

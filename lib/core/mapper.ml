@@ -42,17 +42,19 @@ let test_pin_delay_skew = ref 0.0
 
 (* Typed reads: an unannotated [Bigarray.Array1.unsafe_get] stays
    polymorphic and compiles to a bounds-checked C call per read. *)
-let fanin (v : Arena.iarr) i = Bigarray.Array1.unsafe_get v i
+let fanin (v : Subject.iarr) i = Bigarray.Array1.unsafe_get v i
 
 (* ------------------------------------------------------------------ *)
-(* Structural matcher on the arena                                     *)
+(* Structural matcher                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The arena form of [Matcher.for_each_match], which stays as the
-   boxed reference the tests compare against: the same backtracking
-   order, the same injectivity and exact-class fanout tests, the same
-   per-try pin dedup ([Matcher.emitter]). *)
-let for_each_match cls a ~fanouts p root f =
+(* Enumerate matches by backtracking over the pattern DAG. [binding]
+   maps pattern node -> subject node (-1 = unbound); standard and
+   exact matches must also be injective, which [Matcher.bound]
+   checks. The search is driven by success continuations so that both
+   NAND fanin orders are explored; bindings are undone on the way
+   out. *)
+let for_each_match cls g ~fanouts p root f =
   let nodes = p.Pattern.nodes in
   let binding = Array.make (Array.length nodes) (-1) in
   let injective =
@@ -60,10 +62,12 @@ let for_each_match cls a ~fanouts p root f =
     | Matcher.Standard | Matcher.Exact -> true
     | Matcher.Extended -> false
   in
-  let f0 = a.Arena.fanin0 and f1 = a.Arena.fanin1 in
+  let f0 = g.Subject.fanin0 and f1 = g.Subject.fanin1 in
   let rec go pid sid k =
     let b = binding.(pid) in
     if b >= 0 then begin
+      (* Shared pattern node (general DAG pattern): the mapping must
+         be a function, so a revisit must agree. *)
       if b = sid then k ()
     end
     else if injective && Matcher.bound binding sid then ()
@@ -102,9 +106,9 @@ let for_each_match cls a ~fanouts p root f =
   in
   go p.Pattern.root root (Matcher.emitter p binding f)
 
-let for_each_node_match db cls a ~fanouts ~levels node f =
-  Matchdb.for_each_candidate db a ~level:levels.(node) node (fun p ->
-      for_each_match cls a ~fanouts p node f)
+let for_each_node_match db cls g ~fanouts ~levels node f =
+  Matchdb.for_each_candidate db g ~level:levels.(node) node (fun p ->
+      for_each_match cls g ~fanouts p node f)
 
 (* ------------------------------------------------------------------ *)
 (* Labeling DP                                                         *)
@@ -143,12 +147,12 @@ let better arrival area pins (best_arrival, best_area, best_pins) =
    what lets a whole topological level of these calls run
    concurrently. Returns the numbers of matches considered, of
    supergate matches among them, and of patterns tried. *)
-let label_node cls db a ~fanouts ~levels ~labels ~best node =
+let label_node cls db g ~fanouts ~levels ~labels ~best node =
   let tried = ref 0 in
   let super_tried = ref 0 in
   let best_cost = ref (infinity, infinity, max_int) in
   let patterns =
-    for_each_node_match db cls a ~fanouts ~levels node (fun m ->
+    for_each_node_match db cls g ~fanouts ~levels node (fun m ->
         incr tried;
         let gate = Matcher.gate m in
         if Gate.is_super gate then incr super_tried;
@@ -178,12 +182,12 @@ let label_node cls db a ~fanouts ~levels ~labels ~best node =
    exactly one worker and the level barrier publishes lower levels
    before anyone reads them, so labels and best matches are
    bit-identical for every [jobs]. *)
-let label ?(jobs = 1) ?(pi_arrival = fun _ -> 0.0) mode db a =
+let label ?(jobs = 1) ?(pi_arrival = fun _ -> 0.0) mode db g =
   let jobs = max 1 jobs in
   let cls = mode_class mode in
-  let n = Arena.num_nodes a in
-  let fanouts = Arena.fanout_counts a in
-  let levels = Arena.levels a in
+  let n = Subject.num_nodes g in
+  let fanouts = Subject.fanout_counts g in
+  let levels = Subject.levels g in
   let labels = Array.make n 0.0 in
   let best : Matcher.mtch option array = Array.make n None in
   (* Per-worker counters; the totals are deterministic (sums over
@@ -191,13 +195,13 @@ let label ?(jobs = 1) ?(pi_arrival = fun _ -> 0.0) mode db a =
   let tried = Array.make jobs 0 in
   let super_tried = Array.make jobs 0 in
   let patterns_tried = Array.make jobs 0 in
-  let f0 = a.Arena.fanin0 in
+  let f0 = g.Subject.fanin0 in
   let par =
-    Parmap.sweep ~jobs a (fun worker node ->
+    Parmap.sweep ~jobs g (fun worker node ->
         if fanin f0 node < 0 then labels.(node) <- pi_arrival node
         else begin
           let t, st, pt =
-            label_node cls db a ~fanouts ~levels ~labels ~best node
+            label_node cls db g ~fanouts ~levels ~labels ~best node
           in
           tried.(worker) <- tried.(worker) + t;
           super_tried.(worker) <- super_tried.(worker) + st;
@@ -217,8 +221,8 @@ let label ?(jobs = 1) ?(pi_arrival = fun _ -> 0.0) mode db a =
    a match need no instance of their own unless some other match (or
    output) exposes them — that is exactly where DAG covering
    duplicates logic. *)
-let cover a ~subject (best : Matcher.mtch option array) =
-  let f0 = a.Arena.fanin0 in
+let cover g (best : Matcher.mtch option array) =
+  let f0 = g.Subject.fanin0 in
   let needed : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let queue = Queue.create () in
   let require node =
@@ -227,7 +231,7 @@ let cover a ~subject (best : Matcher.mtch option array) =
       Queue.add node queue
     end
   in
-  Array.iter (fun (_, node) -> require node) a.Arena.outputs;
+  Array.iter (fun (_, node) -> require node) g.Subject.outputs;
   let chosen = ref [] in
   while not (Queue.is_empty queue) do
     let node = Queue.pop queue in
@@ -267,10 +271,12 @@ let cover a ~subject (best : Matcher.mtch option array) =
   in
   let outputs =
     List.map (fun (name, node) -> (name, driver_of node))
-      (Array.to_list a.Arena.outputs)
-    @ List.map (fun (name, b) -> (name, Netlist.D_const b)) a.Arena.const_outputs
+      (Array.to_list g.Subject.outputs)
+    @ List.map
+        (fun (name, b) -> (name, Netlist.D_const b))
+        g.Subject.const_outputs
   in
-  { Netlist.source = subject; instances; outputs }
+  { Netlist.source = g; instances; outputs }
 
 let super_gates_in netlist =
   Array.fold_left
@@ -283,18 +289,13 @@ let super_gates_in netlist =
 
 (* Phase timings use the monotonic wall clock ([Obs.Clock]), the same
    time base as the bench harness and the per-level timings. *)
-let map_arena ?jobs ?subject mode db a =
-  let subject =
-    match subject with Some s -> s | None -> Arena.to_subject a
-  in
+let map ?jobs mode db g =
   let t0 = Clock.now () in
   let labels, best, (tried, super_tried, patterns_tried), par =
-    Span.with_span ~cat:"mapper" "label" (fun () -> label ?jobs mode db a)
+    Span.with_span ~cat:"mapper" "label" (fun () -> label ?jobs mode db g)
   in
   let t1 = Clock.now () in
-  let netlist =
-    Span.with_span ~cat:"mapper" "cover" (fun () -> cover a ~subject best)
-  in
+  let netlist = Span.with_span ~cat:"mapper" "cover" (fun () -> cover g best) in
   let t2 = Clock.now () in
   Metrics.Histogram.observe (Metrics.histogram "mapper.label_seconds") (t1 -. t0);
   Metrics.Histogram.observe (Metrics.histogram "mapper.cover_seconds") (t2 -. t1);
@@ -310,16 +311,14 @@ let map_arena ?jobs ?subject mode db a =
         patterns_tried; cache_hits = 0; cache_lookups = 0;
         super_gates_used = super_gates_in netlist } }
 
-let map ?jobs mode db g = map_arena ?jobs ~subject:g mode db (Arena.of_subject g)
-
 let optimal_delay r =
-  List.fold_left
-    (fun acc o -> Float.max acc r.labels.(o.Subject.out_node))
+  Array.fold_left
+    (fun acc (_, node) -> Float.max acc r.labels.(node))
     0.0 r.netlist.Netlist.source.Subject.outputs
 
-let predicted_arrivals r =
-  let g = r.netlist.Netlist.source in
-  List.map
-    (fun o -> (o.Subject.out_name, r.labels.(o.Subject.out_node)))
-    g.Subject.outputs
+let predicted_at g labels =
+  List.map (fun (name, node) -> (name, labels.(node)))
+    (Array.to_list g.Subject.outputs)
   @ List.map (fun (name, _) -> (name, 0.0)) g.Subject.const_outputs
+
+let predicted_arrivals r = predicted_at r.netlist.Netlist.source r.labels

@@ -20,14 +20,14 @@
     delay-optimal with respect to the subject graph and the pattern
     set.
 
-    There is one labeling engine. It runs on the flat {!Arena}, level
-    by level: a node's label depends only on nodes at strictly smaller
-    levels, so [jobs > 1] fans each wide level across a {!Parmap}
-    domain pool while [jobs = 1] runs the same sweep on the calling
-    domain. Labels, best matches and covers are bit-identical for
-    every [jobs]. {!map} is the boxed {!Subject.t} entry point; it
-    converts with {!Arena.of_subject}, which keeps node ids. *)
+    There is one labeling engine and one entry point, {!map}. It reads
+    the flat {!Subject.t} level by level: a node's label depends only
+    on nodes at strictly smaller levels, so [jobs > 1] fans each wide
+    level across a {!Parmap} domain pool while [jobs = 1] runs the
+    same sweep on the calling domain. Labels, best matches and covers
+    are bit-identical for every [jobs]. *)
 
+open Dagmap_genlib
 open Dagmap_subject
 
 type mode = Tree | Dag | Dag_extended
@@ -70,21 +70,16 @@ type result = {
 }
 
 val map : ?jobs:int -> mode -> Matchdb.t -> Subject.t -> result
-(** Label and cover a boxed subject graph. [jobs] (default 1) is the
-    number of domains the labeling sweep may use. *)
-
-val map_arena :
-  ?jobs:int -> ?subject:Subject.t -> mode -> Matchdb.t -> Arena.t -> result
-(** {!map} for a caller that already holds the arena. [subject]
-    becomes [Netlist.source]; it must describe the same graph, and
-    defaults to {!Arena.to_subject}. *)
+(** Label and cover a subject graph, which becomes [Netlist.source].
+    [jobs] (default 1) is the number of domains the labeling sweep may
+    use. *)
 
 val label :
   ?jobs:int ->
   ?pi_arrival:(int -> float) ->
   mode ->
   Matchdb.t ->
-  Arena.t ->
+  Subject.t ->
   float array
   * Matcher.mtch option array
   * (int * int * int)
@@ -96,22 +91,37 @@ val label :
     uses it to inject latch-output arrivals. Raises {!Unmappable} for
     any [jobs] exactly when a node has no match. *)
 
+val for_each_match :
+  Matcher.match_class ->
+  Subject.t ->
+  fanouts:int array ->
+  Pattern.t ->
+  int ->
+  (Matcher.mtch -> unit) ->
+  unit
+(** [for_each_match cls g ~fanouts p root f] calls [f] once per
+    distinct successful match of [p] rooted at subject node [root]
+    (distinct = distinct pin binding), in backtracking order. [fanouts]
+    must be [Subject.fanout_counts g] (used by the exact-match
+    out-degree test). *)
+
 val for_each_node_match :
   Matchdb.t ->
   Matcher.match_class ->
-  Arena.t ->
+  Subject.t ->
   fanouts:int array ->
   levels:int array ->
   int ->
   (Matcher.mtch -> unit) ->
   int
-(** [for_each_node_match db cls a ~fanouts ~levels node f] calls [f]
-    on every match of every library pattern rooted at arena node
+(** [for_each_node_match db cls g ~fanouts ~levels node f] calls [f]
+    on every match of every library pattern rooted at subject node
     [node], in the enumeration order that decides labeling ties, and
     returns the number of patterns handed to the matcher. [fanouts]
-    and [levels] must be {!Arena.fanout_counts} and {!Arena.levels}.
-    The match set equals that of the boxed {!Matcher.for_each_match}
-    over every pattern; the test suite asserts this. *)
+    and [levels] must be {!Subject.fanout_counts} and
+    {!Subject.levels}. The match set equals that of
+    {!for_each_match} over every pattern; the test suite asserts
+    this. *)
 
 val super_gates_in : Netlist.t -> int
 (** Number of supergate instances in a netlist (the
@@ -120,6 +130,10 @@ val super_gates_in : Netlist.t -> int
 val optimal_delay : result -> float
 (** Worst label over the subject outputs (equals
     [Netlist.delay result.netlist]; the test suite asserts this). *)
+
+val predicted_at : Subject.t -> float array -> (string * float) list
+(** [predicted_at g labels]: each output of [g] paired with the label
+    of its driving node, then each constant output at 0. *)
 
 val predicted_arrivals : result -> (string * float) list
 (** Per-output predicted arrival: each subject output paired with the

@@ -1,4 +1,5 @@
 open Dagmap_genlib
+open Dagmap_subject
 
 (* ------------------------------------------------------------------ *)
 (* Shape index                                                         *)
@@ -6,7 +7,7 @@ open Dagmap_genlib
 
 (* Typed reads: an unannotated [Bigarray.Array1.unsafe_get] stays
    polymorphic and compiles to a bounds-checked C call per read. *)
-let fanin (v : Arena.iarr) i = Bigarray.Array1.unsafe_get v i
+let fanin (v : Subject.iarr) i = Bigarray.Array1.unsafe_get v i
 
 (* A node's [shape] is the unordered NAND/INV/PI tree its fanin cone
    unfolds to over [shape_levels] levels, with the nodes one level
@@ -23,11 +24,11 @@ let shape_count = [| 1; 3; 10; 66; 2278 |]
 let rec shape_code a d node =
   if d = 0 then 0
   else
-    let x = fanin a.Arena.fanin0 node in
+    let x = fanin a.Subject.fanin0 node in
     if x < 0 then 0
     else
       let cx = shape_code a (d - 1) x in
-      let y = fanin a.Arena.fanin1 node in
+      let y = fanin a.Subject.fanin1 node in
       if y < 0 then 1 + cx
       else
         let cy = shape_code a (d - 1) y in
@@ -60,10 +61,10 @@ let rec fits a dm node =
   match dm with
   | Any -> true
   | Inv c ->
-    let x = fanin a.Arena.fanin0 node in
-    x >= 0 && fanin a.Arena.fanin1 node < 0 && fits a c x
+    let x = fanin a.Subject.fanin0 node in
+    x >= 0 && fanin a.Subject.fanin1 node < 0 && fits a c x
   | Nand (l, r) ->
-    let x = fanin a.Arena.fanin0 node and y = fanin a.Arena.fanin1 node in
+    let x = fanin a.Subject.fanin0 node and y = fanin a.Subject.fanin1 node in
     x >= 0 && y >= 0
     && ((fits a l x && fits a r y) || (fits a l y && fits a r x))
 
@@ -154,7 +155,7 @@ let library db = db.lib
    table instead of each consumer re-running [Boolean_match.prepare].
    The memo write is a single pointer store; a concurrent race at
    worst builds the index twice with identical contents (same benign
-   pattern as [Arena.levels_memo]). *)
+   pattern as [Subject.levels_memo]). *)
 let boolean db =
   match db.boolean_memo with
   | Some b -> b
@@ -173,14 +174,15 @@ let rooting_patterns db =
    benign race as [boolean_memo]: concurrent labelers at worst compute
    one slot twice. *)
 let candidates db a node =
-  if fanin a.Arena.fanin0 node < 0 then [||]
+  if fanin a.Subject.fanin0 node < 0 then [||]
   else
     let code = shape_code a shape_levels node in
     match db.shapes.(code) with
     | Some ps -> ps
     | None ->
       let r =
-        if fanin a.Arena.fanin1 node < 0 then db.inv_rooted else db.nand_rooted
+        if fanin a.Subject.fanin1 node < 0 then db.inv_rooted
+        else db.nand_rooted
       in
       let ok = Array.map (fun dm -> fits a dm node) r.demands in
       let ps =

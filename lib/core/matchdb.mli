@@ -12,6 +12,7 @@
     to the O(s p) bound of the paper with a small effective [p]. *)
 
 open Dagmap_genlib
+open Dagmap_subject
 
 type t
 
@@ -34,11 +35,11 @@ val rooting_patterns : t -> Pattern.t list
     {!for_each_candidate} keeps it. *)
 
 val for_each_candidate :
-  t -> Arena.t -> level:int -> int -> (Pattern.t -> unit) -> int
+  t -> Subject.t -> level:int -> int -> (Pattern.t -> unit) -> int
 (** [for_each_candidate db a ~level node try_pattern] calls
-    [try_pattern] on every pattern that can match at arena node
+    [try_pattern] on every pattern that can match at subject node
     [node] — those the shape index keeps, no deeper than [level] (the
-    node's {!Arena.levels} entry) — in enumeration order, and returns
+    node's {!Subject.levels} entry) — in enumeration order, and returns
     how many it called it on. No pattern roots at a PI. This is the
     enumeration order {!Mapper.for_each_node_match} uses. Safe to call
     from several domains at once. *)

@@ -1,5 +1,4 @@
 open Dagmap_genlib
-open Dagmap_subject
 
 type match_class = Standard | Exact | Extended
 
@@ -46,60 +45,3 @@ let emitter p binding f =
       let covered = Array.of_list (List.sort_uniq compare !covered) in
       f { pattern = p; pins; covered }
     end
-
-(* Enumerate matches by backtracking over the pattern DAG. [binding]
-   maps pattern node -> subject node (-1 = unbound); standard and
-   exact matches must also be injective, which [bound] checks. The
-   search is driven by success continuations so that both NAND fanin
-   orders are explored; bindings are undone on the way out. *)
-let for_each_match cls g ~fanouts p root f =
-  let nodes = p.Pattern.nodes in
-  let binding = Array.make (Array.length nodes) (-1) in
-  let injective = match cls with Standard | Exact -> true | Extended -> false in
-  let rec go pid sid k =
-    let b = binding.(pid) in
-    if b >= 0 then begin
-      (* Shared pattern node (general DAG pattern): the mapping must
-         be a function, so a revisit must agree. *)
-      if b = sid then k ()
-    end
-    else if injective && bound binding sid then ()
-    else begin
-      let fanout_ok =
-        match cls, nodes.(pid) with
-        | Exact, (Pattern.Pinv _ | Pattern.Pnand _) ->
-          pid = p.Pattern.root || fanouts.(sid) = p.Pattern.fanout.(pid)
-        | (Exact | Standard | Extended), _ -> true
-      in
-      if fanout_ok then
-        match nodes.(pid), Subject.kind g sid with
-        | Pattern.Pleaf _, (Spi | Snand _ | Sinv _) ->
-          binding.(pid) <- sid;
-          k ();
-          binding.(pid) <- -1
-        | Pattern.Pinv c, Sinv x ->
-          binding.(pid) <- sid;
-          go c x k;
-          binding.(pid) <- -1
-        | Pattern.Pnand (a, b), Snand (x, y) ->
-          binding.(pid) <- sid;
-          go a x (fun () -> go b y k);
-          if x <> y then go a y (fun () -> go b x k);
-          binding.(pid) <- -1
-        | (Pattern.Pinv _ | Pattern.Pnand _), _ -> ()
-    end
-  in
-  go p.Pattern.root root (emitter p binding f)
-
-let matches cls g ~fanouts p root =
-  let acc = ref [] in
-  for_each_match cls g ~fanouts p root (fun m -> acc := m :: !acc);
-  List.rev !acc
-
-exception Found
-
-let exists_match cls g ~fanouts p root =
-  try
-    for_each_match cls g ~fanouts p root (fun _ -> raise Found);
-    false
-  with Found -> true

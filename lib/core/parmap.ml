@@ -1,4 +1,5 @@
 open Dagmap_obs
+open Dagmap_subject
 
 (* The domain pool and the one level sweep. The labeling DP in Mapper
    and the priority-cut engine both run [sweep]; supergate enumeration
@@ -226,7 +227,7 @@ let chunk_min = 8
    perturbing bit-identity. *)
 let sweep ?(jobs = 1) a f =
   let jobs = max 1 jobs in
-  let order, starts = Arena.level_ranges a in
+  let order, starts = Subject.level_ranges a in
   let num_levels = Array.length starts - 1 in
   let level_seconds = Array.make num_levels 0.0 in
   let level_hist = Metrics.histogram "parmap.level_seconds" in

@@ -1,13 +1,16 @@
 (** The OCaml 5 domain pool and the one level sweep.
 
     A node's optimal label depends only on nodes at strictly smaller
-    {!Arena.levels}, so each topological level is an independent
-    front. {!sweep} visits an arena level by level, fans the nodes of
-    a wide level across the pool with work-stealing chunks, and waits
-    at a barrier between levels. The labeling DP ({!Mapper.label}) and
-    the priority-cut engine ([Cut_mapper.map_arena]) both call it and
-    own no scheduling code. Supergate enumeration uses the pool's
-    barrier directly; the daemon uses the pool's service mode. *)
+    {!Subject.levels}, so each topological level is an independent
+    front. {!sweep} visits a subject graph level by level, fans the
+    nodes of a wide level across the pool with work-stealing chunks,
+    and waits at a barrier between levels. The labeling DP
+    ({!Mapper.label}) and the priority-cut engine ([Cut_mapper.map])
+    both call it and own no scheduling code. Supergate enumeration
+    uses the pool's barrier directly; the daemon uses the pool's
+    service mode. *)
+
+open Dagmap_subject
 
 type par_stats = {
   domains : int;            (** domains actually used (>= 1) *)
@@ -35,9 +38,9 @@ val chunk_min : int
     regression tests can state their bounds in terms of the real
     policy. *)
 
-val sweep : ?jobs:int -> Arena.t -> (int -> int -> unit) -> par_stats
+val sweep : ?jobs:int -> Subject.t -> (int -> int -> unit) -> par_stats
 (** [sweep ?jobs a f] calls [f worker node] exactly once for every
-    node of [a], in the order of {!Arena.level_ranges}, finishing
+    node of [a], in the order of {!Subject.level_ranges}, finishing
     each level before starting the next. [worker] is in
     [0 .. jobs - 1] and identifies the calling domain, so [f] may
     keep per-worker accumulators; a level that runs on the calling

@@ -1,5 +1,5 @@
-(** Compatibility alias for callers that map an {!Dagmap_core.Arena}
-    with priority cuts. The engine itself lives in {!Cut_mapper}. *)
+(** Compatibility alias for callers that name [Arena_cuts]. The engine
+    itself lives in {!Cut_mapper}. *)
 
 open Dagmap_subject
 open Dagmap_core
@@ -11,6 +11,8 @@ val map :
   ?pi_arrival:(int -> float) ->
   ?subject:Subject.t ->
   Boolean_match.t ->
-  Arena.t ->
+  Subject.t ->
   Cut_mapper.result * Parmap.par_stats
-(** [map] is {!Cut_mapper.map_arena}. *)
+(** [map ... db g] is [Cut_mapper.map ... db g] paired with its sweep
+    statistics; [subject] is ignored, since the graph is its own
+    netlist source. *)

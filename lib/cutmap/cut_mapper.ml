@@ -14,6 +14,7 @@ type result = {
   chosen : choice option array;
   matched_nodes : int;
   matches_evaluated : int;
+  par : Parmap.par_stats;
 }
 
 (* Worst leaf arrival through the entry's gate pins. Starts at
@@ -121,8 +122,9 @@ let eval_node ~k ~priority ~levels ~label db ~stored_of x y node =
     List.sort (fun a b -> compare (score a) (score b)) evaluated
   in
   let kept = List.filteri (fun i _ -> i < priority) sorted in
-  (* One retention rule, shared with [Cuts.keep]: the direct-fanin
-     cut (or its support-shrunk descendant) always survives pruning. *)
+  (* One retention rule, shared with the tests' reference enumerator:
+     the direct-fanin cut (or its support-shrunk descendant) always
+     survives pruning. *)
   let kept =
     Cuts.retain_fallback ~fanins
       ~leaves_of:(fun ((c : Cuts.cut), _) -> c.Cuts.leaves)
@@ -149,19 +151,19 @@ let eval_node ~k ~priority ~levels ~label db ~stored_of x y node =
    seeded with the output drivers; each popped node contributes one
    instance whose inputs are its chosen cut's leaves. Constant-folded
    nodes drive constants and need no instance. *)
-let cover a ~subject ~levels ~(chosen : choice option array)
+let cover g ~levels ~(chosen : choice option array)
     ~(const_node : bool option array) =
-  let needed = Array.make (Arena.num_nodes a) false in
+  let needed = Array.make (Subject.num_nodes g) false in
   let queue = Queue.create () in
   let require node =
-    if (not (Arena.is_pi a node)) && const_node.(node) = None
+    if (not (Subject.is_pi g node)) && const_node.(node) = None
        && not needed.(node)
     then begin
       needed.(node) <- true;
       Queue.add node queue
     end
   in
-  Array.iter (fun (_, node) -> require node) a.Arena.outputs;
+  Array.iter (fun (_, node) -> require node) g.Subject.outputs;
   let picked = ref [] in
   while not (Queue.is_empty queue) do
     let node = Queue.pop queue in
@@ -171,13 +173,13 @@ let cover a ~subject ~levels ~(chosen : choice option array)
       picked := (node, c) :: !picked;
       Array.iter require c.cut.Cuts.leaves
   done;
-  let index = Array.make (Arena.num_nodes a) (-1) in
+  let index = Array.make (Subject.num_nodes g) (-1) in
   List.iteri (fun i (node, _) -> index.(node) <- i) !picked;
   let driver_of node =
     match const_node.(node) with
     | Some b -> Netlist.D_const b
     | None ->
-      if Arena.is_pi a node then Netlist.D_pi node
+      if Subject.is_pi g node then Netlist.D_pi node
       else Netlist.D_gate index.(node)
   in
   let folded node = const_node.(node) <> None in
@@ -192,19 +194,19 @@ let cover a ~subject ~levels ~(chosen : choice option array)
                inputs.(c.entry.Boolean_match.pin_of_input.(j)) <- driver_of leaf)
              c.cut.Cuts.leaves;
            let covers =
-             Array.of_list (Cuts.cut_cone a ~levels ~folded node c.cut)
+             Array.of_list (Cuts.cut_cone g ~levels ~folded node c.cut)
            in
            { Netlist.inst_id = i; gate; inputs; subject_root = node; covers })
          !picked)
   in
   let outputs =
     List.map (fun (name, node) -> (name, driver_of node))
-      (Array.to_list a.Arena.outputs)
+      (Array.to_list g.Subject.outputs)
     @ List.map
         (fun (name, b) -> (name, Netlist.D_const b))
-        a.Arena.const_outputs
+        g.Subject.const_outputs
   in
-  { Netlist.source = subject; instances; outputs }
+  { Netlist.source = g; instances; outputs }
 
 (* The cut store: three flat buffers indexed by slot [node * cap + i],
    written once by the node's own sweep visit and read only by
@@ -222,12 +224,12 @@ let cover a ~subject ~levels ~(chosen : choice option array)
    that bound is far above what nodes really store, so the capacity
    starts at [min priority 62 + 2] (exact up to priority 62) and a
    node that needs more raises [Overflow]: the sweep is deterministic,
-   so {!map_arena} simply reruns it with a larger capacity. *)
+   so {!map} simply reruns it with a larger capacity. *)
 exception Overflow of int
 
 type store = {
   cap : int;
-  leaves : Arena.iarr;
+  leaves : Subject.iarr;
   funcs : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
   widths : Bytes.t;
   counts : int array;
@@ -276,8 +278,8 @@ let stored_of ~k ~levels st x =
   in
   build (st.counts.(x) - 1) []
 
-let map_arena ?(jobs = 1) ?(k = 5) ?(priority = 50)
-    ?(pi_arrival = fun _ -> 0.0) ?subject db a =
+let map ?(jobs = 1) ?(k = 5) ?(priority = 50) ?(pi_arrival = fun _ -> 0.0) db
+    g =
   let jobs = max 1 jobs in
   (* Cuts wider than the widest library gate can never match (and the
      widest gate has <= 6 pins, so every stored function fits one
@@ -287,8 +289,8 @@ let map_arena ?(jobs = 1) ?(k = 5) ?(priority = 50)
      keeping none or every one; the clamp keeps [priority + 2] from
      wrapping around. *)
   let priority = max 0 (min priority (max_int - 2)) in
-  let n = Arena.num_nodes a in
-  let levels = Arena.levels a in
+  let n = Subject.num_nodes g in
+  let levels = Subject.levels g in
   let max_cap = priority + 2 in
   let rec attempt cap =
     let st = create_store ~k ~cap n in
@@ -299,7 +301,7 @@ let map_arena ?(jobs = 1) ?(k = 5) ?(priority = 50)
     let matched = Array.make jobs 0 in
     let label l = labels.(l) in
     let stored_of = stored_of ~k ~levels st in
-    let f0 = a.Arena.fanin0 and f1 = a.Arena.fanin1 in
+    let f0 = g.Subject.fanin0 and f1 = g.Subject.fanin1 in
     let visit w node =
       let x = Bigarray.Array1.unsafe_get f0 node in
       if x < 0 then begin
@@ -328,7 +330,7 @@ let map_arena ?(jobs = 1) ?(k = 5) ?(priority = 50)
                      "no Boolean match for any cut of subject node %d" node })
       end
     in
-    match Parmap.sweep ~jobs a visit with
+    match Parmap.sweep ~jobs g visit with
     | par -> (labels, chosen, const_node, evaluated, matched, par)
     | exception Overflow need when cap < max_cap ->
       (* Grow at least to what the overflowing node asked for, so a
@@ -338,25 +340,12 @@ let map_arena ?(jobs = 1) ?(k = 5) ?(priority = 50)
   let labels, chosen, const_node, evaluated, matched, par =
     attempt (min priority 62 + 2)
   in
-  let subject =
-    match subject with Some g -> g | None -> Arena.to_subject a
-  in
   let sum = Array.fold_left ( + ) 0 in
-  ( { netlist = cover a ~subject ~levels ~chosen ~const_node;
-      labels;
-      chosen;
-      matched_nodes = sum matched;
-      matches_evaluated = sum evaluated },
-    par )
+  { netlist = cover g ~levels ~chosen ~const_node;
+    labels;
+    chosen;
+    matched_nodes = sum matched;
+    matches_evaluated = sum evaluated;
+    par }
 
-let map ?k ?priority ?pi_arrival db g =
-  fst
-    (map_arena ~jobs:1 ?k ?priority ?pi_arrival ~subject:g db
-       (Arena.of_subject g))
-
-let predicted_arrivals r =
-  let g = r.netlist.Netlist.source in
-  List.map
-    (fun o -> (o.Subject.out_name, r.labels.(o.Subject.out_node)))
-    g.Subject.outputs
-  @ List.map (fun (name, _) -> (name, 0.0)) g.Subject.const_outputs
+let predicted_arrivals r = Mapper.predicted_at r.netlist.Netlist.source r.labels

@@ -10,14 +10,13 @@
     result is a strong heuristic rather than delay-optimal; the
     benchmark harness compares both engines.
 
-    There is one engine, {!map_arena}. It runs {!Parmap.sweep} over
-    the flat {!Arena}, the same level sweep as {!Mapper.label}, and
-    keeps each node's cut set in preallocated flat buffers. A node's
-    evaluation is a pure function of its fanins' stored cuts and of
-    lower-level labels, so labels, choices, the netlist and
-    [matches_evaluated] are bit-identical for every [jobs]. {!map} is
-    the boxed {!Subject.t} entry point; it converts with
-    {!Arena.of_subject}, which keeps node ids.
+    There is one engine and one entry point, {!map}. It runs
+    {!Parmap.sweep} over the flat {!Subject.t}, the same level sweep
+    as {!Mapper.label}, and keeps each node's cut set in preallocated
+    flat buffers. A node's evaluation is a pure function of its
+    fanins' stored cuts and of lower-level labels, so labels, choices,
+    the netlist and [matches_evaluated] are bit-identical for every
+    [jobs].
 
     {b Store capacity.} A node stores at most [priority + 2] cuts, but
     full enumeration stores far fewer than a huge [priority] allows.
@@ -43,40 +42,28 @@ type result = {
   chosen : choice option array;   (** per needed subject node *)
   matched_nodes : int;            (** nodes with a non-fallback match *)
   matches_evaluated : int;        (** (cut, library entry) pairs scored *)
+  par : Parmap.par_stats;         (** shape and timing of the level sweep *)
 }
 
-val map_arena :
-  ?jobs:int ->
-  ?k:int ->
-  ?priority:int ->
-  ?pi_arrival:(int -> float) ->
-  ?subject:Subject.t ->
-  Boolean_match.t ->
-  Arena.t ->
-  result * Parmap.par_stats
-(** [map_arena db a] labels the arena and covers backward from the
-    outputs. [k] (default 5, clamped to the library's widest
-    matchable gate) bounds cut width; [priority] (default 50) bounds
-    cuts kept per node — quality converges to the structural
-    mapper's as the budget grows (the harness sweeps this).
-    [pi_arrival] gives each primary input's external arrival time
-    (default 0.0 for all, matching {!Mapper.map}); negative arrivals
-    are honored, not clamped. [jobs] (default 1) is the number of
-    domains the sweep may use. [subject] becomes [Netlist.source]; it
-    must describe the same graph and defaults to
-    {!Arena.to_subject}. Raises [Mapper.Unmappable] if some node has
-    no matchable cut (cannot happen when the library contains INV
-    and NAND2). *)
-
 val map :
+  ?jobs:int ->
   ?k:int ->
   ?priority:int ->
   ?pi_arrival:(int -> float) ->
   Boolean_match.t ->
   Subject.t ->
   result
-(** [map db g] is [map_arena ~jobs:1 ~subject:g db (Arena.of_subject
-    g)] without the sweep statistics. *)
+(** [map db g] labels [g] and covers backward from the outputs; [g]
+    becomes [Netlist.source]. [k] (default 5, clamped to the library's
+    widest matchable gate) bounds cut width; [priority] (default 50)
+    bounds cuts kept per node — quality converges to the structural
+    mapper's as the budget grows (the harness sweeps this).
+    [pi_arrival] gives each primary input's external arrival time
+    (default 0.0 for all, matching {!Mapper.map}); negative arrivals
+    are honored, not clamped. [jobs] (default 1) is the number of
+    domains the sweep may use. Raises [Mapper.Unmappable] if some node
+    has no matchable cut (cannot happen when the library contains INV
+    and NAND2). *)
 
 val predicted_arrivals : result -> (string * float) list
 (** Per-output predicted arrivals in [Check.audit] form: each output

@@ -1,4 +1,5 @@
-(** Priority k-feasible cut enumeration with cut functions.
+(** k-feasible cuts with cut functions: the building blocks of the
+    priority-cut engine ({!Cut_mapper}).
 
     This is the modern (ABC-style) alternative substrate to pattern
     matching: instead of matching library structure against the
@@ -23,21 +24,8 @@ type cut = {
 val is_trivial : cut -> bool
 (** The singleton cut of the node itself. *)
 
-val enumerate : ?k:int -> ?priority:int -> Subject.t -> cut list array
-(** [enumerate g] computes, for every node, its trivial cut plus up
-    to [priority] (default 8) non-trivial cuts of at most [k]
-    (default 5) leaves, best-first by (leaf depth, size). [k] must be
-    between 2 and 6. *)
-
 val trivial : levels:int array -> int -> cut
 (** The singleton cut of a node ([levels] = [Subject.levels]). *)
-
-val merged_for_node :
-  k:int -> levels:int array -> Subject.t -> int -> cut list array -> cut list
-(** All (unpruned, deduplicated, support-shrunk) k-feasible cuts of a
-    non-PI node obtained by merging its fanins' stored cut lists —
-    the building block mappers use to interleave enumeration with
-    labeling so they can prune by arrival rather than by level. *)
 
 val merged_generic :
   k:int ->
@@ -45,21 +33,12 @@ val merged_generic :
   (Truth.t array -> Truth.t) ->
   cut list list ->
   cut list
-(** [merged_generic ~k levels combine fanin_cuts] is
-    {!merged_for_node} without the boxed subject: merge one or two
-    fanins' cut lists through the node operator [combine]. The result
-    order is a deterministic function of the input lists alone, which
-    is what lets the cut mapper's level sweep produce the same cut
-    sets in any visiting order. *)
-
-val keep :
-  priority:int ->
-  rank:(cut -> float * int) ->
-  fanins:int list ->
-  cut list ->
-  cut list
-(** Keep the [priority] best cuts by the given rank (ascending),
-    always retaining the direct-fanin cut via {!retain_fallback}. *)
+(** [merged_generic ~k levels combine fanin_cuts]: all (unpruned,
+    deduplicated, support-shrunk) k-feasible cuts of a node, merged
+    from one or two fanins' cut lists through the node operator
+    [combine]. The result order is a deterministic function of the
+    input lists alone, which is what lets the cut mapper's level sweep
+    produce the same cut sets in any visiting order. *)
 
 val retain_fallback :
   fanins:int list ->
@@ -73,34 +52,24 @@ val retain_fallback :
     append it from [all] — or, when support shrinking ate it, its
     shrunk descendant (a strict subset of the fanin leaves). A mere
     subset-of-fanins cut in [kept] (e.g. a single trivial fanin cut)
-    does {e not} satisfy the invariant. Shared by {!keep} and the cut
-    mapper so the retention rule cannot drift. *)
+    does {e not} satisfy the invariant. The cut mapper and the tests'
+    reference enumerator share it, so the retention rule cannot
+    drift. *)
 
 val cut_cone :
-  Dagmap_core.Arena.t ->
+  Subject.t ->
   levels:int array ->
   folded:(int -> bool) ->
   int ->
   cut ->
   int list
-(** [cut_cone a ~levels ~folded root c] is what an instance of [c] at
+(** [cut_cone g ~levels ~folded root c] is what an instance of [c] at
     [root] covers: the nodes on some path from a leaf of [c] up to
     [root], [root] included and the leaves excluded, that passes
     through no node for which [folded] holds (a node the mapper
-    folded to a constant). [levels] is {!Dagmap_core.Arena.levels}.
+    folded to a constant). [levels] is {!Subject.levels}.
     On a cut that separates [root] from the primary inputs this is
     every node between the leaves and the root; a support-shrunk cut
     does not, and the walk never leaves the region above its lowest
     leaf, so no primary input is ever covered. Root first; iterative,
     so deep cones cannot overflow the stack. *)
-
-val check : ?rounds:int -> Subject.t -> int -> cut -> bool
-(** Validate a cut in circuit: over random primary-input vectors
-    (default 16 rounds of 64), the node's simulated value always
-    equals [func] applied to the leaves' simulated values. Note the
-    composed function is only guaranteed on {e feasible} leaf
-    valuations — leaves can be logically correlated (e.g. a signal
-    and its inverse), in which case the table's value on infeasible
-    assignments is an artifact of the composition, exactly as in
-    conventional cut-based mappers. Mapping correctness only needs
-    the feasible ones, which is what this checks. *)

@@ -49,13 +49,27 @@ let named_circuits =
     ("lfsr16", fun () -> Generators.lfsr 16);
     ("pparity32", fun () -> Generators.pipelined_parity 32 4) ]
 
+exception Too_large of string
+
+let max_spec_size = 100_000
+
 (* Named benchmarks, then the sized generators, which reach the
-   huge-tier workloads from every front end without a BLIF file. *)
-let spec_circuit spec =
-  let size what s =
+   huge-tier workloads from every front end without a BLIF file. A
+   size above [max_size] is refused before anything is generated. *)
+let spec_circuit ~max_size spec =
+  let positive what s =
     match int_of_string_opt s with
     | Some n when n > 0 -> n
     | _ -> failwith (Printf.sprintf "bad %s in circuit spec %S" what spec)
+  in
+  let size what s =
+    let n = positive what s in
+    if n > max_size then
+      raise
+        (Too_large
+           (Printf.sprintf "circuit spec %S: %s %d is above the limit of %d"
+              spec what n max_size));
+    n
   in
   match List.assoc_opt spec named_circuits, String.split_on_char ':' spec with
   | Some f, _ -> Some (f ())
@@ -63,13 +77,12 @@ let spec_circuit spec =
   | None, [ "soc"; n ] ->
     Some (Generators.synthetic_soc ~nodes:(size "size" n) ())
   | None, [ "soc"; n; seed ] ->
-    Some
-      (Generators.synthetic_soc ~seed:(size "seed" seed)
-         ~nodes:(size "size" n) ())
+    let nodes = size "size" n in
+    Some (Generators.synthetic_soc ~seed:(positive "seed" seed) ~nodes ())
   | None, _ -> None
 
 let circuit_of_spec spec =
-  match spec_circuit spec with
+  match spec_circuit ~max_size:max_spec_size spec with
   | Some net -> net
   | None ->
     failwith
@@ -79,7 +92,7 @@ let circuit_of_spec spec =
          spec)
 
 let load_circuit spec =
-  match spec_circuit spec with
+  match spec_circuit ~max_size:max_int spec with
   | Some net -> net
   | None ->
     if Sys.file_exists spec then Dagmap_blif.Blif.read_file spec
@@ -99,12 +112,12 @@ let load_circuit spec =
    unmappable. The built-in libraries all can; a genlib file is
    checked here, on the one path every front end loads it through. *)
 let covers_inv_and_nand2 lib =
-  let b = Arena.Builder.create () in
-  let x = Arena.Builder.pi b "x" and y = Arena.Builder.pi b "y" in
-  Arena.Builder.output b "inv" (Arena.Builder.inv b x);
-  Arena.Builder.output b "nand2" (Arena.Builder.nand b x y);
-  let a = Arena.Builder.finish b in
-  match Mapper.map_arena Mapper.Dag (Matchdb.prepare lib) a with
+  let b = Subject.Builder.create () in
+  let x = Subject.Builder.pi b "x" and y = Subject.Builder.pi b "y" in
+  Subject.Builder.output b "inv" (Subject.Builder.inv b x);
+  Subject.Builder.output b "nand2" (Subject.Builder.nand b x y);
+  let g = Subject.Builder.finish b in
+  match Mapper.map Mapper.Dag (Matchdb.prepare lib) g with
   | _ -> true
   | exception Mapper.Unmappable _ -> false
 
@@ -140,14 +153,10 @@ let load_library ?super spec =
   | Some path -> snd (load_super ~base:(fun _ -> lib) path)
 
 (* ------------------------------------------------------------------ *)
-(* Input and map                                                       *)
+(* Decompose and map                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type input = { arena : Arena.t; subject : Subject.t }
-
-let decompose net =
-  let arena = Arena.of_network net in
-  { arena; subject = Arena.to_subject arena }
+let decompose net = Subject.of_network net
 
 type run = Pattern_run of Mapper.result | Cut_run of Cut_mapper.result
 
@@ -158,19 +167,17 @@ type result = {
   run : run;
 }
 
-let map ?(jobs = 1) engine db { arena; subject } =
+let map ?(jobs = 1) engine db g =
   match engine with
   | Pattern mode ->
-    let r = Mapper.map_arena ~jobs ~subject mode db arena in
+    let r = Mapper.map ~jobs mode db g in
     { netlist = r.Mapper.netlist;
       predicted = Mapper.predicted_arrivals r;
       par = r.Mapper.par;
       run = Pattern_run r }
   | Cut { priority } ->
-    let r, par =
-      Cut_mapper.map_arena ~jobs ~priority ~subject (Matchdb.boolean db) arena
-    in
+    let r = Cut_mapper.map ~jobs ~priority (Matchdb.boolean db) g in
     { netlist = r.Cut_mapper.netlist;
       predicted = Cut_mapper.predicted_arrivals r;
-      par;
+      par = r.Cut_mapper.par;
       run = Cut_run r }

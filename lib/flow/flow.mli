@@ -40,13 +40,23 @@ val named_circuits : (string * (unit -> Network.t)) list
 (** The named benchmarks: the ISCAS-like stand-ins and the arithmetic
     and sequential generators. *)
 
+exception Too_large of string
+(** A circuit spec names a size above {!max_spec_size}. *)
+
+val max_spec_size : int
+(** 100,000: the largest [n] {!circuit_of_spec} builds for
+    ["chain:<n>"] or ["soc:<n>[:seed]"]. *)
+
 val circuit_of_spec : string -> Network.t
 (** A named benchmark, ["chain:<n>"] or ["soc:<n>[:seed]"]. Never
-    reads a file, so the daemon resolves client specs with it. Raises
-    [Failure] on any other spec. *)
+    reads a file and refuses sizes above {!max_spec_size} before
+    generating anything, so the daemon resolves client specs with it.
+    Raises {!Too_large} on a size above the limit and [Failure] on any
+    other spec. *)
 
 val load_circuit : string -> Network.t
-(** {!circuit_of_spec}, else the BLIF file of that name. *)
+(** {!circuit_of_spec} without the size limit, else the BLIF file of
+    that name. *)
 
 (** {1 Libraries} *)
 
@@ -66,17 +76,11 @@ val load_super :
     library the file names. Raises [Superlib.Format_error] on a
     malformed file or one generated from a different base. *)
 
-(** {1 Input} *)
+(** {1 Decompose} *)
 
-type input = {
-  arena : Arena.t;      (** the subject graph every engine labels *)
-  subject : Subject.t;  (** its boxed view, the netlist's source *)
-}
-
-val decompose : Network.t -> input
-(** NAND2-INV decomposition with the arena builder
-    ({!Arena.of_network}) and its {!Arena.to_subject} view, which equals
-    [Subject.of_network net]. *)
+val decompose : Network.t -> Subject.t
+(** The NAND2-INV subject graph every engine labels and every netlist
+    names as its source: [Subject.of_network net]. *)
 
 (** {1 Map} *)
 
@@ -92,8 +96,8 @@ type result = {
   run : run;               (** the engine's own result *)
 }
 
-val map : ?jobs:int -> engine -> Matchdb.t -> input -> result
-(** Label and cover [input] with [engine]. [jobs] (default 1) is the
+val map : ?jobs:int -> engine -> Matchdb.t -> Subject.t -> result
+(** Label and cover [g] with [engine]. [jobs] (default 1) is the
     number of domains the level sweep may use; the result is
     bit-identical for every [jobs]. Raises [Mapper.Unmappable] when
     some node has no match. *)

@@ -8,7 +8,9 @@
     node's fanin cone (decided by max-flow on the node-split cone
     with all label-[p] nodes collapsed into the sink) and [p + 1]
     otherwise. LUTs are then generated backward from the outputs,
-    duplicating logic exactly as DAG covering does. *)
+    duplicating logic exactly as DAG covering does. Both passes read
+    the subject graph's fanin vectors ({!Subject.fanins},
+    {!Subject.is_pi}); there is one labeler. *)
 
 open Dagmap_logic
 open Dagmap_subject
@@ -31,14 +33,6 @@ type cover = {
 val map : k:int -> Subject.t -> cover
 (** Depth-optimal k-LUT mapping. Raises [Invalid_argument] for
     [k < 2]. *)
-
-val label_arena : k:int -> Dagmap_core.Arena.t -> int array
-(** The labeling phase of {!map} run directly on the flat arena's int
-    fanin vectors — no boxed kinds, no [Subject.t]. Shares the cone
-    walk and max-flow construction with {!map} (both are parameterized
-    over the same fanin accessors), so on [Arena.of_subject g] the
-    result equals [(map ~k g).labels] element-for-element, which
-    [test/test_flowmap.ml] locks down. *)
 
 val depth : cover -> int
 (** Worst output label (number of LUT levels on the critical path). *)

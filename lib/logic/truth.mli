@@ -86,7 +86,7 @@ val to_hex : t -> string
 
 val to_bits : t -> int64
 (** The packed table of a function of at most 6 variables — the whole
-    table fits one word, so flat stores (the arena cut buffers) can
+    table fits one word, so flat stores (the cut engine's buffers) can
     keep functions off-heap. Bits above [2^nvars] are zero.
     @raise Invalid_argument past 6 variables. *)
 

@@ -1,7 +1,7 @@
 (** Process resource readings for the observability layer.
 
     One number for now: the peak resident set size, the high-water
-    mark the bench harness records per run so the arena core's memory
+    mark the bench harness records per run so the flat core's memory
     footprint is visible in the benchmark trajectory alongside wall
     and CPU time. The reading is process-wide and monotone — it never
     decreases over the life of the process — so per-run values in a

@@ -27,9 +27,9 @@ let check_period db mode net phi =
         Hashtbl.replace latch_of_pi id (i - (n_pis - n_latches)))
     pis;
   (* Trailing [n_latches] outputs are the latch data inputs. *)
-  let outputs = Array.of_list g.Subject.outputs in
+  let outputs = g.Subject.outputs in
   let n_outs = Array.length outputs in
-  let latch_in_node i = outputs.(n_outs - n_latches + i).Subject.out_node in
+  let latch_in_node i = snd outputs.(n_outs - n_latches + i) in
   let real_outputs = Array.sub outputs 0 (n_outs - n_latches) in
   let latch_arrival = Array.make n_latches 0.0 in
   let max_gate_delay =
@@ -47,9 +47,8 @@ let check_period db mode net phi =
     | Some i -> latch_arrival.(i)
     | None -> 0.0
   in
-  let a = Arena.of_subject g in
   let rec iterate remaining =
-    let labels, _, _, _ = Mapper.label ~pi_arrival mode db a in
+    let labels, _, _, _ = Mapper.label ~pi_arrival mode db g in
     let changed = ref false in
     for i = 0 to n_latches - 1 do
       let next = Float.max 0.0 (labels.(latch_in_node i) -. phi) in
@@ -67,7 +66,7 @@ let check_period db mode net phi =
          output also meets it. *)
       let ok =
         Array.for_all
-          (fun o -> labels.(o.Subject.out_node) <= phi +. 1e-9)
+          (fun (_, node) -> labels.(node) <= phi +. 1e-9)
           real_outputs
       in
       if ok then Feasible { latch_arrivals = Array.copy latch_arrival }

@@ -357,6 +357,7 @@ let load_network t (req : Proto.request) payload =
            ("no_circuit_resolver", "this daemon only accepts BLIF payloads"))
     | Some f -> (
       try f spec with
+      | Flow.Too_large m -> raise (Reply_error ("too_large", m))
       | Failure m -> raise (Reply_error ("unknown_circuit", m))
       | Dagmap_blif.Blif.Parse_error _ as e ->
         raise (Reply_error ("blif_parse", Dagmap_blif.Blif.describe e))))
@@ -377,11 +378,11 @@ let map_input t req payload =
   let net = load_network t req payload in
   let entry = resolve_lib t req.Proto.lib in
   let engine = resolve_engine req.Proto.mode in
-  let input = Flow.decompose net in
-  (input, Flow.map engine entry.db input)
+  let g = Flow.decompose net in
+  (g, Flow.map engine entry.db g)
 
-let audit_issues (input : Flow.input) (r : Flow.result) =
-  Check.audit input.Flow.subject ~predicted:r.Flow.predicted r.Flow.netlist
+let audit_issues g (r : Flow.result) =
+  Check.audit g ~predicted:r.Flow.predicted r.Flow.netlist
 
 let netlist_fields nl =
   [ ("delay", Json.Float (Netlist.delay nl));
@@ -390,12 +391,12 @@ let netlist_fields nl =
     ("duplicated", Json.Int (Netlist.duplication nl)) ]
 
 let exec_map t req payload =
-  let input, r = map_input t req payload in
+  let g, r = map_input t req payload in
   let nl = r.Flow.netlist in
   let audit =
     if not req.Proto.audit then []
     else begin
-      match audit_issues input r with
+      match audit_issues g r with
       | [] -> [ ("audit", Json.String "ok") ]
       | issues ->
         [ ("audit", Json.String "failed"); ("audit_issues", issue_strings issues) ]
@@ -411,14 +412,14 @@ let exec_map t req payload =
       [ ("blif", Json.String (Dagmap_blif.Blif.write_netlist nl)) ]
     else []
   in
-  [ ("subject_nodes", Json.Int (Subject.num_nodes input.Flow.subject)) ]
+  [ ("subject_nodes", Json.Int (Subject.num_nodes g)) ]
   @ netlist_fields nl
   @ [ ("matches_tried", Json.Int matches) ]
   @ audit @ blif
 
 let exec_check t req payload =
-  let input, r = map_input t req payload in
-  let issues = audit_issues input r in
+  let g, r = map_input t req payload in
+  let issues = audit_issues g r in
   netlist_fields r.Flow.netlist
   @ [ ("clean", Json.Bool (issues = [])); ("issues", issue_strings issues) ]
 

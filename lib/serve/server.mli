@@ -58,8 +58,9 @@ type config = {
           that name none. Pattern databases are prepared once here. *)
   resolve_circuit : (string -> Network.t) option;
       (** resolver for [circuit=] requests (named benchmarks,
-          generator specs); [None] restricts clients to BLIF
-          payloads *)
+          generator specs). [Flow.Too_large] out of it answers
+          ["too_large"] and [Failure] ["unknown_circuit"]; [None]
+          restricts clients to BLIF payloads *)
   verbose : bool;  (** log one line per connection/drain to stderr *)
   io_timeout_s : float;
       (** per-read/-write progress bound once a request is in flight

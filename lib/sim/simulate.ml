@@ -54,24 +54,20 @@ let read_outputs vals names slots tail =
 
 let subject g =
   let n = Subject.num_nodes g in
-  let pis = Array.of_list (Subject.pi_ids g) in
+  let pis = g.Subject.pi_nodes in
   (* Node [i] lives in slot [i]. An inverter is a NAND with both
      fanins equal; a PI has fanin [-1]. *)
   let fa = Array.make n (-1) and fb = Array.make n (-1) in
-  Array.iteri
-    (fun i k ->
-      match k with
-      | Subject.Spi -> ()
-      | Subject.Sinv x ->
-        fa.(i) <- x;
-        fb.(i) <- x
-      | Subject.Snand (x, y) ->
-        fa.(i) <- x;
-        fb.(i) <- y)
-    g.Subject.kinds;
-  let outs = Array.of_list g.Subject.outputs in
-  let out_names = Array.map (fun o -> o.Subject.out_name) outs in
-  let out_slots = Array.map (fun o -> o.Subject.out_node) outs in
+  for i = 0 to n - 1 do
+    let x = Subject.fanin0 g i in
+    if x >= 0 then begin
+      let y = Subject.fanin1 g i in
+      fa.(i) <- x;
+      fb.(i) <- (if y < 0 then x else y)
+    end
+  done;
+  let out_names = Array.map fst g.Subject.outputs in
+  let out_slots = Array.map snd g.Subject.outputs in
   let const_tail =
     List.map
       (fun (name, b) -> (name, if b then -1L else 0L))

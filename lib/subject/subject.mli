@@ -6,7 +6,25 @@
     hashing (identical NANDs are shared) and inverter-pair
     cancellation, and folds constants away. Latch boundaries become
     pseudo-PIs (latch outputs) and pseudo-POs (latch inputs) so the
-    combinational core can be mapped, as in the paper's Section 4. *)
+    combinational core can be mapped, as in the paper's Section 4.
+
+    The graph is stored flat: two off-heap int vectors, node = index,
+    so labeling sweeps are cache-friendly int reads the GC never
+    scans, and structural hashing keys on packed ints. Encoding (one
+    int pair per node, [-1] as the sentinel):
+
+    {v
+      fanin0   fanin1    node kind
+      ------   ------    ---------
+        -1       -1      PI (or latch output)
+        x >= 0   -1      INV(x)
+        x >= 0   y >= 0  NAND(x, y), x <= y for hashed nodes
+    v}
+
+    Fanins always point at strictly smaller indices, so index order is
+    a topological order. Hot loops read the fanin vectors or
+    {!is_pi}; {!kind} is the boxed per-node view for code that
+    pattern-matches, and allocates a block per NAND. *)
 
 open Dagmap_logic
 
@@ -15,20 +33,24 @@ type kind =
   | Snand of int * int  (** two-input NAND of earlier nodes *)
   | Sinv of int         (** inverter over an earlier node *)
 
-type output = {
-  out_name : string;
-  out_node : int;       (** subject node driving this output *)
-}
+type iarr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = private {
-  kinds : kind array;          (** indices are topologically ordered *)
-  names : string array;        (** PI names; synthesized for internal *)
-  outputs : output list;       (** POs, then latch data inputs *)
+  fanin0 : iarr;                 (** per-node first fanin / PI sentinel *)
+  fanin1 : iarr;                 (** per-node second fanin / INV sentinel *)
+  n : int;                       (** number of nodes *)
+  num_pis : int;
+  pi_nodes : int array;          (** node ids of the PIs, in PI order *)
+  pi_names : string array;       (** names parallel to [pi_nodes] *)
+  outputs : (string * int) array;
+      (** (name, driving node): POs, then latch data inputs *)
   const_outputs : (string * bool) list;
       (** outputs whose function folded to a constant *)
-  num_pis : int;
-  n_latches : int;             (** trailing [n_latches] outputs and PIs
-                                   are latch boundaries, in order *)
+  n_latches : int;               (** trailing [n_latches] outputs and PIs
+                                     are latch boundaries, in order *)
+  mutable levels_memo : int array option;
+      (** memoized {!levels} result (private record: only {!levels}
+          writes it) *)
 }
 
 type style =
@@ -44,85 +66,76 @@ val of_network : ?style:style -> Network.t -> t
     that mapping optimality is relative to this arbitrary initial
     choice; the harness measures the sensitivity. Subject PI order is
     the network's PI declaration order followed by latch outputs in
-    latch order. *)
-
-val of_parts :
-  kinds:kind array ->
-  names:string array ->
-  outputs:output list ->
-  const_outputs:(string * bool) list ->
-  num_pis:int ->
-  n_latches:int ->
-  t
-(** Assemble a subject graph from pre-built flat parts (used by the
-    arena conversion boundary in [Dagmap_core.Arena]). Validates the
-    topological fanin invariant (every fanin strictly precedes its
-    node) and the PI count; raises [Invalid_argument] otherwise. *)
-
-val restyle : style -> Bexpr.t -> Bexpr.t
-(** Re-associate n-ary AND/OR chains in an expression per the style;
-    exposed so alternate decomposition backends share it. *)
-
-(** Builder operations the De Morgan decomposition needs; implemented
-    by {!Builder} and by arena builders. *)
-module type BUILD_OPS = sig
-  type b
-
-  val pi : b -> string -> int
-  val inv : b -> int -> int
-  val nand : b -> int -> int -> int
-  val output : b -> string -> int -> unit
-  val const_output : b -> string -> bool -> unit
-end
-
-(** The NAND2-INV decomposition, generic over the node store. Two
-    backends driven through [Decompose] with equivalent [BUILD_OPS]
-    produce structurally identical graphs — this is the contract the
-    arena differential suite locks down. *)
-module Decompose (B : BUILD_OPS) : sig
-  val run : ?style:style -> B.b -> Network.t -> unit
-  (** Decompose [net] into [b]: PIs (declaration order, then latch
-      outputs), logic in topological order, then outputs (POs, then
-      [$latch_in<i>] pseudo-outputs). The caller finishes the builder
-      itself (latch count = [List.length (Network.latches net)]). *)
-end
+    latch order; outputs are the POs, then [$latch_in<i>]
+    pseudo-outputs. *)
 
 val num_nodes : t -> int
+val is_pi : t -> int -> bool
+val fanin0 : t -> int -> int
+val fanin1 : t -> int -> int
+
 val kind : t -> int -> kind
-val fanout_counts : t -> int array
-(** Fanout per node; each output reference counts as one fanout. *)
+(** Boxed view of one node. *)
 
 val fanins : t -> int -> int list
 
-val depth : t -> int
-(** Unit-delay depth (NAND and INV each count 1). *)
+val mem_bytes : t -> int
+(** Off-heap bytes held by the fanin vectors. *)
 
 val levels : t -> int array
+(** Unit-delay level per node (PIs at 0; NAND and INV each count 1);
+    computed by a single forward sweep on first use and memoized —
+    repeated calls (and {!level_ranges}/{!by_level}/{!depth}, which
+    all start from it) share one array. Callers must not mutate the
+    result. *)
+
+val fanout_counts : t -> int array
+(** Fanout per node; each output reference counts as one fanout. *)
+
+val depth : t -> int
+(** Max level over output drivers. *)
+
+val level_ranges : t -> int array * int array
+(** [(order, starts)]: [order] is a permutation of node ids sorted by
+    (level, id); level [l] occupies [order.(starts.(l)) ..
+    order.(starts.(l+1) - 1)]. [starts] has [max-level + 2] entries.
+    These dense index ranges are the parallelization fronts of any
+    topological-order DP (see {!Dagmap_core.Parmap}). *)
 
 val by_level : t -> int array array
-(** Node ids grouped by level, ascending node id within each group;
-    [by_level g] has [max-level + 1] groups and every node appears
-    exactly once. A node's fanins always live at strictly
-    smaller levels, so the groups are the parallelization fronts of
-    any topological-order DP (see {!Dagmap_core.Parmap}). *)
+(** Node ids grouped by level, ascending node id within each group:
+    the slices of {!level_ranges} as separate arrays. *)
 
 val pi_ids : t -> int list
-(** Subject ids of the PIs, in order. *)
+(** Node ids of the PIs, in order. *)
+
+val pi_name : t -> int -> string
+(** The name of the PI at a node id. Raises [Invalid_argument] if the
+    node is not a PI. *)
 
 val eval : t -> bool array -> (string * bool) list
 (** Evaluate all outputs under a PI assignment (indexed in PI order);
     includes constant outputs. *)
 
 val stats : t -> string
+(** ["subject: pi= out= nand= inv= depth="]. *)
+
+val arena_stats : t -> string
+(** The same counts under the [arena:] label, plus the off-heap bytes:
+    the line [techmap map --stats] prints. *)
+
 val to_dot : t -> string
 
-(** Low-level builder, used by tests and by the Figure 1 / Figure 2
-    constructions in the benchmark harness. *)
+(** The structurally hashing builder {!of_network} runs, also used by
+    tests and by the Figure 1 / Figure 2 constructions in the
+    benchmark harness. *)
 module Builder : sig
   type graph = t
   type t
 
-  val create : unit -> t
+  val create : ?hint:int -> unit -> t
+  (** [hint] pre-sizes the node vectors (default 1024). *)
+
   val pi : t -> string -> int
   val nand : t -> int -> int -> int
   (** Structurally hashed (commutative); [nand x x] folds to

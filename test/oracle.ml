@@ -1,10 +1,10 @@
 (* Independent references for the mapper tests. The reference matcher
-   runs the boxed [Matcher.matches] on every library pattern: no shape
-   index, no arena. The reference labeler is the paper's DP in its
-   plainest form on top of it, visiting patterns in the library's
-   enumeration order so that it breaks ties as the engine does. [check]
-   asserts that [Mapper.label] agrees with it bit for bit, for any
-   number of domains. *)
+   backtracks over the boxed [Subject.kind] view on every library
+   pattern: no shape index, no fanin vectors. The reference labeler is
+   the paper's DP in its plainest form on top of it, visiting patterns
+   in the library's enumeration order so that it breaks ties as the
+   engine does. [check] asserts that [Mapper.label] agrees with it bit
+   for bit, for any number of domains. *)
 
 open Dagmap_genlib
 open Dagmap_subject
@@ -19,11 +19,62 @@ let rooting lib =
       | Pattern.Pinv _ | Pattern.Pnand _ -> true)
     lib.Libraries.patterns
 
+(* Enumerate matches by backtracking over the pattern DAG, reading
+   the graph through [Subject.kind]. [binding] maps pattern node ->
+   subject node (-1 = unbound); standard and exact matches must also
+   be injective. Both NAND fanin orders are explored through success
+   continuations; bindings are undone on the way out. *)
+let for_each_match cls g ~fanouts p root f =
+  let nodes = p.Pattern.nodes in
+  let binding = Array.make (Array.length nodes) (-1) in
+  let injective =
+    match cls with
+    | Matcher.Standard | Matcher.Exact -> true
+    | Matcher.Extended -> false
+  in
+  let rec go pid sid k =
+    let b = binding.(pid) in
+    if b >= 0 then begin
+      if b = sid then k ()
+    end
+    else if injective && Matcher.bound binding sid then ()
+    else begin
+      let fanout_ok =
+        match cls, nodes.(pid) with
+        | Matcher.Exact, (Pattern.Pinv _ | Pattern.Pnand _) ->
+          pid = p.Pattern.root || fanouts.(sid) = p.Pattern.fanout.(pid)
+        | (Matcher.Exact | Matcher.Standard | Matcher.Extended), _ -> true
+      in
+      if fanout_ok then
+        match nodes.(pid), Subject.kind g sid with
+        | Pattern.Pleaf _, (Subject.Spi | Subject.Snand _ | Subject.Sinv _) ->
+          binding.(pid) <- sid;
+          k ();
+          binding.(pid) <- -1
+        | Pattern.Pinv c, Subject.Sinv x ->
+          binding.(pid) <- sid;
+          go c x k;
+          binding.(pid) <- -1
+        | Pattern.Pnand (a, b), Subject.Snand (x, y) ->
+          binding.(pid) <- sid;
+          go a x (fun () -> go b y k);
+          if x <> y then go a y (fun () -> go b x k);
+          binding.(pid) <- -1
+        | (Pattern.Pinv _ | Pattern.Pnand _), _ -> ()
+    end
+  in
+  go p.Pattern.root root (Matcher.emitter p binding f)
+
+let matches cls g ~fanouts p root =
+  let acc = ref [] in
+  for_each_match cls g ~fanouts p root (fun m -> acc := m :: !acc);
+  List.rev !acc
+
 let node_matches patterns cls g ~fanouts node =
   match Subject.kind g node with
   | Subject.Spi -> []
   | Subject.Snand _ | Subject.Sinv _ ->
-    List.concat_map (fun p -> Matcher.matches cls g ~fanouts p node) patterns
+    List.concat_map (fun p -> matches cls g ~fanouts p node) patterns
 
 let arrival labels (m : Matcher.mtch) =
   let gate = Matcher.gate m in
@@ -75,11 +126,10 @@ let same_match m m' =
    bit-identical, the same best match at every node. *)
 let check ?pi_arrival ?(jobs = [ 1 ]) ~name mode db g =
   let want, want_best = label ?pi_arrival mode db g in
-  let a = Arena.of_subject g in
   List.iter
     (fun j ->
       let where = Printf.sprintf "%s/%s jobs=%d" name (Mapper.mode_name mode) j in
-      let got, got_best, _, _ = Mapper.label ~jobs:j ?pi_arrival mode db a in
+      let got, got_best, _, _ = Mapper.label ~jobs:j ?pi_arrival mode db g in
       Array.iteri
         (fun node l ->
           if got.(node) <> l then

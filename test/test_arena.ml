@@ -1,7 +1,8 @@
-(* The flat struct-of-arrays core: conversion round-trips exactly,
-   derived arrays agree with the boxed graph, and the one labeling
-   engine, which runs on the arena, matches the reference DP in
-   [Oracle] across circuits, libraries, modes and domain counts. *)
+(* The flat subject graph: the builder's output keeps raw nodes and
+   hashes as the decomposition expects, its derived level arrays are
+   consistent and memoized, and the one labeling engine matches the
+   reference DP in [Oracle] across circuits, libraries, modes and
+   domain counts. *)
 
 open Dagmap_genlib
 open Dagmap_subject
@@ -28,31 +29,6 @@ let huge_enabled () =
 (* Equality helpers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let same_subject (g1 : Subject.t) (g2 : Subject.t) =
-  g1.Subject.kinds = g2.Subject.kinds
-  && g1.Subject.names = g2.Subject.names
-  && g1.Subject.outputs = g2.Subject.outputs
-  && g1.Subject.const_outputs = g2.Subject.const_outputs
-  && g1.Subject.num_pis = g2.Subject.num_pis
-  && g1.Subject.n_latches = g2.Subject.n_latches
-
-let same_arena (a1 : Arena.t) (a2 : Arena.t) =
-  a1.Arena.n = a2.Arena.n
-  && (let ok = ref true in
-      for i = 0 to a1.Arena.n - 1 do
-        if
-          Arena.fanin0 a1 i <> Arena.fanin0 a2 i
-          || Arena.fanin1 a1 i <> Arena.fanin1 a2 i
-        then ok := false
-      done;
-      !ok)
-  && a1.Arena.pi_nodes = a2.Arena.pi_nodes
-  && a1.Arena.pi_names = a2.Arena.pi_names
-  && a1.Arena.outputs = a2.Arena.outputs
-  && a1.Arena.const_outputs = a2.Arena.const_outputs
-  && a1.Arena.num_pis = a2.Arena.num_pis
-  && a1.Arena.n_latches = a2.Arena.n_latches
-
 let same_netlist (n1 : Netlist.t) (n2 : Netlist.t) =
   Array.length n1.Netlist.instances = Array.length n2.Netlist.instances
   && Array.for_all2
@@ -66,49 +42,13 @@ let same_netlist (n1 : Netlist.t) (n2 : Netlist.t) =
   && n1.Netlist.outputs = n2.Netlist.outputs
 
 (* ------------------------------------------------------------------ *)
-(* Conversion round-trips                                              *)
+(* Conversion into the flat graph                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_roundtrip_fixed () =
-  let circuits =
-    fixed_circuits ()
-    @ [ ("barrel8", Generators.barrel_shifter 8);
-        ("lfsr8", Generators.lfsr 8);  (* sequential: latch boundaries *)
-        ("rand", Generators.random_dag ~seed:7 ~nodes:120 ()) ]
-  in
-  List.iter
-    (fun (name, net) ->
-      List.iter
-        (fun (sname, style) ->
-          let g = Subject.of_network ~style net in
-          let a = Arena.of_subject g in
-          check tbool
-            (Printf.sprintf "%s/%s to_subject (of_subject g) = g" name sname)
-            true
-            (same_subject g (Arena.to_subject a));
-          check tbool
-            (Printf.sprintf "%s/%s of_network = of_subject . of_network" name
-               sname)
-            true
-            (same_arena a (Arena.of_network ~style net)))
-        [ ("bal", Subject.Balanced);
-          ("left", Subject.Left_skew);
-          ("right", Subject.Right_skew) ])
-    circuits
-
-let qc_roundtrip =
-  QCheck.Test.make ~count:30 ~name:"arena <-> subject round-trip on random DAGs"
-    QCheck.(make ~print:string_of_int Gen.(int_bound 10_000))
-    (fun seed ->
-      let net = Generators.random_dag ~seed ~inputs:8 ~outputs:6 ~nodes:80 () in
-      let g = Subject.of_network net in
-      let a = Arena.of_network net in
-      same_arena a (Arena.of_subject g)
-      && same_subject g (Arena.to_subject a))
-
-(* Raw (non-hashed) nodes must survive the round-trip node-for-node:
-   of_subject must not re-hash. *)
-let test_roundtrip_raw_duplicates () =
+(* Builder.finish copies the builder's vectors into the flat graph: raw
+   (non-hashed) nodes must come out node for node, and the [Arena]
+   alias must hand the graph back unchanged rather than re-hash it. *)
+let test_raw_duplicates () =
   let b = Subject.Builder.create () in
   let x = Subject.Builder.pi b "x" in
   let y = Subject.Builder.pi b "y" in
@@ -119,34 +59,52 @@ let test_roundtrip_raw_duplicates () =
   Subject.Builder.output b "o1" i2;
   Subject.Builder.output b "o2" n2;
   let g = Subject.Builder.finish b in
-  let a = Arena.of_subject g in
-  check tint "duplicates preserved" (Subject.num_nodes g) (Arena.num_nodes a);
-  check tbool "raw round-trip" true (same_subject g (Arena.to_subject a))
+  check tbool "raw nand fresh" true (n1 <> n2);
+  check tbool "raw inv pair kept" true (i2 <> n1);
+  check tint "duplicates preserved" 6 (Subject.num_nodes g);
+  let fanins = Alcotest.list tint in
+  check fanins "n1 fanins" [ x; y ] (Subject.fanins g n1);
+  check fanins "n2 fanins" [ x; y ] (Subject.fanins g n2);
+  check fanins "i1 fanin" [ n1 ] (Subject.fanins g i1);
+  check fanins "i2 fanin" [ i1 ] (Subject.fanins g i2);
+  check tbool "outputs" true (g.Subject.outputs = [| ("o1", i2); ("o2", n2) |]);
+  check tbool "Arena.to_subject is the identity" true (Arena.to_subject g == g)
 
-(* The arena builder must make the same hashing decisions as
-   Subject.Builder (commutative nand, nand x x = inv, inverter-pair
-   cancellation). *)
+(* The hashing decisions the decomposition relies on (commutative nand,
+   nand x x = inv x, inverter-pair cancellation) must keep each
+   output's function. *)
 let test_builder_semantics () =
-  let sb = Subject.Builder.create () in
-  let ab = Arena.Builder.create () in
-  let sx = Subject.Builder.pi sb "x" and ax = Arena.Builder.pi ab "x" in
-  let sy = Subject.Builder.pi sb "y" and ay = Arena.Builder.pi ab "y" in
-  let pairs =
-    [ (Subject.Builder.nand sb sx sy, Arena.Builder.nand ab ax ay);
-      (Subject.Builder.nand sb sy sx, Arena.Builder.nand ab ay ax);
-      (Subject.Builder.nand sb sx sx, Arena.Builder.nand ab ax ax);
-      (Subject.Builder.inv sb sx, Arena.Builder.inv ab ax);
-      (Subject.Builder.inv sb (Subject.Builder.inv sb sy),
-       Arena.Builder.inv ab (Arena.Builder.inv ab ay)) ]
-  in
-  List.iteri
-    (fun i (s, a) -> check tint (Printf.sprintf "builder op %d" i) s a)
-    pairs;
-  Subject.Builder.output sb "o" (List.hd pairs |> fst);
-  Arena.Builder.output ab "o" (List.hd pairs |> snd);
-  let g = Subject.Builder.finish sb in
-  let a = Arena.Builder.finish ab in
-  check tbool "same graph" true (same_arena (Arena.of_subject g) a)
+  let b = Subject.Builder.create () in
+  let x = Subject.Builder.pi b "x" in
+  let y = Subject.Builder.pi b "y" in
+  let nxy = Subject.Builder.nand b x y in
+  check tint "commutative nand" nxy (Subject.Builder.nand b y x);
+  let ix = Subject.Builder.inv b x in
+  check tint "nand x x = inv x" ix (Subject.Builder.nand b x x);
+  check tint "inv hashed" ix (Subject.Builder.inv b x);
+  let iy = Subject.Builder.inv b y in
+  check tint "inverter pair cancels" y (Subject.Builder.inv b iy);
+  check tint "cancelled pair sits on the pi" x
+    (Subject.Builder.inv b (Subject.Builder.nand b x x));
+  Subject.Builder.output b "nand" (Subject.Builder.nand b y x);
+  Subject.Builder.output b "notx" (Subject.Builder.nand b x x);
+  Subject.Builder.output b "y" (Subject.Builder.inv b iy);
+  Subject.Builder.output b "and" (Subject.Builder.inv b nxy);
+  let g = Subject.Builder.finish b in
+  check tint "node count" 6 (Subject.num_nodes g);
+  check tbool "hashed nand kind" true (Subject.kind g nxy = Subject.Snand (x, y));
+  for m = 0 to 3 do
+    let vx = m land 1 <> 0 and vy = m land 2 <> 0 in
+    let got = Subject.eval g [| vx; vy |] in
+    let expect name v =
+      check tbool (Printf.sprintf "%s at x=%b y=%b" name vx vy) v
+        (List.assoc name got)
+    in
+    expect "nand" (not (vx && vy));
+    expect "notx" (not vx);
+    expect "y" vy;
+    expect "and" (vx && vy)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Derived arrays                                                      *)
@@ -156,19 +114,12 @@ let test_derived_arrays () =
   List.iter
     (fun (name, net) ->
       let g = Subject.of_network net in
-      let a = Arena.of_subject g in
-      check tbool (name ^ " levels") true (Subject.levels g = Arena.levels a);
-      check tbool (name ^ " fanouts") true
-        (Subject.fanout_counts g = Arena.fanout_counts a);
-      check tint (name ^ " depth") (Subject.depth g) (Arena.depth a);
-      check tbool (name ^ " by_level") true
-        (Subject.by_level g = Arena.by_level a);
       (* level_ranges is the dense form of by_level. *)
-      let order, starts = Arena.level_ranges a in
-      let lv = Arena.levels a in
-      check tint (name ^ " ranges cover all") (Arena.num_nodes a)
+      let order, starts = Subject.level_ranges g in
+      let lv = Subject.levels g in
+      check tint (name ^ " ranges cover all") (Subject.num_nodes g)
         (Array.length order);
-      check tint (name ^ " starts end") (Arena.num_nodes a)
+      check tint (name ^ " starts end") (Subject.num_nodes g)
         starts.(Array.length starts - 1);
       Array.iteri
         (fun l group ->
@@ -176,7 +127,7 @@ let test_derived_arrays () =
             (Printf.sprintf "%s level %d slice" name l)
             true
             (group = Array.sub order starts.(l) (starts.(l + 1) - starts.(l))))
-        (Arena.by_level a);
+        (Subject.by_level g);
       Array.iteri
         (fun pos node ->
           let l = lv.(node) in
@@ -185,16 +136,30 @@ let test_derived_arrays () =
             true
             (pos >= starts.(l) && pos < starts.(l + 1)))
         order;
-      (* The O(n) levels sweep runs once per arena: repeated calls —
+      (* Levels, fanouts and depth against their definitions. *)
+      let fanouts = Array.make (Subject.num_nodes g) 0 in
+      Array.iter (fun (_, node) -> fanouts.(node) <- fanouts.(node) + 1)
+        g.Subject.outputs;
+      for i = 0 to Subject.num_nodes g - 1 do
+        let fanins = Subject.fanins g i in
+        List.iter (fun f -> fanouts.(f) <- fanouts.(f) + 1) fanins;
+        check tint
+          (Printf.sprintf "%s level of %d" name i)
+          (List.fold_left (fun acc f -> max acc (lv.(f) + 1)) 0 fanins)
+          lv.(i)
+      done;
+      check tbool (name ^ " fanouts") true (Subject.fanout_counts g = fanouts);
+      check tint (name ^ " depth")
+        (Array.fold_left (fun acc (_, node) -> max acc lv.(node)) 0
+           g.Subject.outputs)
+        (Subject.depth g);
+      (* The O(n) levels sweep runs once per graph: repeated calls —
          and the level_ranges/by_level/depth derivations on top —
          share one memoized array instead of recomputing it. *)
       check tbool (name ^ " levels memoized") true
-        (Arena.levels a == Arena.levels a);
+        (Subject.levels g == Subject.levels g);
       check tbool (name ^ " memoized levels unchanged") true
-        (Subject.levels g = Arena.levels a);
-      check tint (name ^ " depth stable") (Subject.depth g) (Arena.depth a);
-      check tbool (name ^ " by_level stable") true
-        (Subject.by_level g = Arena.by_level a))
+        (Subject.levels g = lv))
     (fixed_circuits ())
 
 (* ------------------------------------------------------------------ *)
@@ -252,19 +217,6 @@ let test_matrix_parallel_arena () =
     [ ("ks16", Generators.kogge_stone_adder 16);
       ("mult4", Generators.array_multiplier 4) ]
 
-(* Without ~subject the arena converts back through to_subject; the
-   result must be the one Mapper.map gives on the boxed graph. *)
-let test_map_without_subject () =
-  let net = Generators.kogge_stone_adder 16 in
-  let g = Subject.of_network net in
-  let db = Matchdb.prepare (Libraries.lib2_like ()) in
-  let boxed = Mapper.map Mapper.Dag db g in
-  let am = Mapper.map_arena Mapper.Dag db (Arena.of_network net) in
-  check tbool "labels" true (boxed.Mapper.labels = am.Mapper.labels);
-  check tbool "netlist" true (same_netlist boxed.Mapper.netlist am.Mapper.netlist);
-  check tbool "source round-trips" true
-    (same_subject g am.Mapper.netlist.Netlist.source)
-
 (* Supergate-augmented library: the bigger pattern space. *)
 let test_matrix_super () =
   let lib = Oracle.supergates () in
@@ -317,15 +269,15 @@ let test_unmappable () =
       (Genlib_parser.parse_string
          "GATE inv 1 O=!a; PIN a INV 1 999 1.0 0.1 1.0 0.1")
   in
-  let b = Arena.Builder.create () in
-  let x = Arena.Builder.pi b "x" in
-  let y = Arena.Builder.pi b "y" in
-  let n = Arena.Builder.raw_nand b x y in
-  Arena.Builder.output b "o" n;
-  let a = Arena.Builder.finish b in
+  let b = Subject.Builder.create () in
+  let x = Subject.Builder.pi b "x" in
+  let y = Subject.Builder.pi b "y" in
+  let n = Subject.Builder.raw_nand b x y in
+  Subject.Builder.output b "o" n;
+  let g = Subject.Builder.finish b in
   let db = Matchdb.prepare inv_only in
   check tbool "Unmappable raises" true
-    (match Mapper.label Mapper.Dag db a with
+    (match Mapper.label Mapper.Dag db g with
      | _ -> false
      | exception Mapper.Unmappable _ -> true)
 
@@ -333,24 +285,21 @@ let test_unmappable () =
 (* Scale and stack safety                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The 100k-deep chain pattern from the earlier traversal-safety PRs,
-   now through the arena: build, derive, map, verify — no recursion
-   anywhere on the node count. *)
+(* The 100k-deep chain pattern from the earlier traversal-safety PRs:
+   build, derive, map, verify — no recursion anywhere on the node
+   count. *)
 let test_deep_chain_100k () =
   let depth = 100_000 in
-  let net = Generators.nand_chain depth in
-  let g = Subject.of_network net in
-  let a = Arena.of_network net in
-  check tbool "arena = subject" true (same_arena a (Arena.of_subject g));
-  check tint "chain depth" depth (Arena.depth a);
+  let g = Subject.of_network (Generators.nand_chain depth) in
+  check tint "chain depth" depth (Subject.depth g);
   let db = Matchdb.prepare (Libraries.minimal ()) in
-  let seq = Mapper.map_arena ~subject:g Mapper.Dag db a in
+  let seq = Mapper.map Mapper.Dag db g in
   check tbool "chain100k audit clean" true (Check.audit_result g seq = []);
   (* Chunking stress: 100k levels of width ~1 through the parallel
      labeler — every level is below the fan-out threshold, so the
      whole sweep must run on the calling domain with zero cursor
      traffic, no recursion on the depth, and bit-identical output. *)
-  let par = Mapper.map_arena ~jobs:4 ~subject:g Mapper.Dag db a in
+  let par = Mapper.map ~jobs:4 Mapper.Dag db g in
   let stats = par.Mapper.par in
   check tbool "chain100k jobs=4 labels" true (seq.Mapper.labels = par.Mapper.labels);
   check tbool "chain100k jobs=4 netlist" true
@@ -364,27 +313,24 @@ let test_deep_chain_100k () =
    the million-node versions below are gated behind DAGMAP_HUGE=1
    (CI runs a ~100k bench smoke instead, see .github/workflows). *)
 let test_soc_end_to_end () =
-  let net = Generators.synthetic_soc ~seed:3 ~nodes:60_000 () in
-  let g = Subject.of_network net in
-  let a = Arena.of_network net in
-  check tbool "soc arena = subject" true (same_arena a (Arena.of_subject g));
+  let g =
+    Subject.of_network (Generators.synthetic_soc ~seed:3 ~nodes:60_000 ())
+  in
   let db = Matchdb.prepare (Libraries.lib2_like ()) in
-  let am = Mapper.map_arena ~subject:g Mapper.Dag db a in
-  check tbool "soc60k audit clean" true (Check.audit_result g am = [])
+  let r = Mapper.map Mapper.Dag db g in
+  check tbool "soc60k audit clean" true (Check.audit_result g r = [])
 
 let million_case name build =
   if not (huge_enabled ()) then
     Printf.printf "[test_arena] %s skipped (set DAGMAP_HUGE=1 to run)\n%!" name
   else begin
-    let net = build () in
-    let a = Arena.of_network net in
+    let g = Subject.of_network (build ()) in
     check tbool (name ^ " has 1M+ subject nodes") true
-      (Arena.num_nodes a >= 1_000_000);
-    let g = Arena.to_subject a in
+      (Subject.num_nodes g >= 1_000_000);
     let db = Matchdb.prepare (Libraries.minimal ()) in
     List.iter
       (fun jobs ->
-        let r = Mapper.map_arena ~jobs ~subject:g Mapper.Dag db a in
+        let r = Mapper.map ~jobs Mapper.Dag db g in
         let tag = Printf.sprintf "%s jobs=%d" name jobs in
         (* All three audits, no stack overflow. *)
         check tbool (tag ^ " structural") true
@@ -407,11 +353,7 @@ let test_million_soc () =
 let () =
   Alcotest.run "arena"
     [ ( "convert",
-        [ Alcotest.test_case "fixed round-trips x styles" `Quick
-            test_roundtrip_fixed;
-          QCheck_alcotest.to_alcotest qc_roundtrip;
-          Alcotest.test_case "raw duplicates" `Quick
-            test_roundtrip_raw_duplicates;
+        [ Alcotest.test_case "raw duplicates" `Quick test_raw_duplicates;
           Alcotest.test_case "builder semantics" `Quick test_builder_semantics
         ] );
       ( "derived",
@@ -423,7 +365,6 @@ let () =
             test_matrix_parallel;
           Alcotest.test_case "parallel-arena matrix jobs 1/2/4" `Quick
             test_matrix_parallel_arena;
-          Alcotest.test_case "to_subject path" `Quick test_map_without_subject;
           Alcotest.test_case "supergate library" `Quick test_matrix_super;
           QCheck_alcotest.to_alcotest qc_differential;
           QCheck_alcotest.to_alcotest qc_parallel_arena;

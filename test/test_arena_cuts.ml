@@ -1,4 +1,4 @@
-(* The priority-cut engine on the arena: bit-identical results for
+(* The priority-cut engine: bit-identical results for
    every job count (including store-capacity reruns under full
    enumeration), full lib/check audits over the k x priority x
    library matrix (supergates included), and never-worse-than-tree
@@ -85,10 +85,10 @@ let check_same_result name (r1 : Cut_mapper.result) (r2 : Cut_mapper.result) =
 
 let test_parallel_parity_wide () =
   let g = wide_circuit () in
-  let a = Arena.of_subject g in
   let db = Boolean_match.prepare (Libraries.lib2_like ()) in
-  let run jobs = Cut_mapper.map_arena ~jobs ~k:4 ~priority:6 ~subject:g db a in
-  let seq, sstats = run 1 and par, pstats = run 4 in
+  let run jobs = Cut_mapper.map ~jobs ~k:4 ~priority:6 db g in
+  let seq = run 1 and par = run 4 in
+  let sstats = seq.Cut_mapper.par and pstats = par.Cut_mapper.par in
   (* The wide circuit must actually exercise the work-stealing path,
      otherwise this test proves nothing about parallel determinism. *)
   check tbool "some levels fanned out" true (pstats.Parmap.parallel_levels > 0);
@@ -104,45 +104,29 @@ let test_parallel_parity_wide () =
    4 agree, and so do two budgets that both keep every cut. *)
 let test_capacity_reruns () =
   let g = Subject.of_network (Generators.carry_lookahead_adder 12) in
-  let a = Arena.of_subject g in
   let db = Boolean_match.prepare (Libraries.lib2_like ()) in
   let widest =
     Array.fold_left
       (fun m cuts -> max m (List.length cuts))
       0
-      (Cuts.enumerate ~k:(min 5 (Boolean_match.max_arity db))
+      (Cuts_oracle.enumerate ~k:(min 5 (Boolean_match.max_arity db))
          ~priority:max_int g)
   in
   check tbool
     (Printf.sprintf "some node stores %d > 64 cuts" widest)
     true (widest > 64);
-  let full jobs priority =
-    fst (Cut_mapper.map_arena ~jobs ~priority ~subject:g db a)
-  in
+  let full jobs priority = Cut_mapper.map ~jobs ~priority db g in
   let seq = full 1 1_000_000 in
   check_same_result "full enumeration seq=par" seq (full 4 1_000_000);
   check_same_result "budget above the widest node" seq (full 1 (widest + 1));
   check_same_result "budget max_int" seq (full 1 max_int);
   check_same_result "negative budget keeps none" (full 1 0) (full 1 (-5))
 
-let test_arena_without_subject () =
-  (* Covering through Arena.to_subject must agree with covering
-     through the original boxed subject. *)
-  let _, g = List.hd (small_circuits ()) in
-  let a = Arena.of_subject g in
-  let db = Boolean_match.prepare (Libraries.minimal ()) in
-  let with_subject, _ = Cut_mapper.map_arena ~subject:g db a in
-  let without, _ = Cut_mapper.map_arena db a in
-  check_same_result "to_subject cover" with_subject without
-
 let test_pi_arrival_parity () =
   let _, g = List.nth (small_circuits ()) 1 in
-  let a = Arena.of_subject g in
   let db = Boolean_match.prepare (Libraries.lib2_like ()) in
   let pi_arrival node = if node mod 2 = 0 then -3.0 else 1.5 in
-  let run jobs =
-    fst (Cut_mapper.map_arena ~jobs ~priority:8 ~pi_arrival ~subject:g db a)
-  in
+  let run jobs = Cut_mapper.map ~jobs ~priority:8 ~pi_arrival db g in
   let seq = run 1 and par = run 4 in
   check_same_result "pi_arrival seq=par" seq par
 
@@ -171,17 +155,13 @@ let test_audit_matrix () =
       let db = Boolean_match.prepare lib in
       List.iter
         (fun (name, g) ->
-          let a = Arena.of_subject g in
           List.iter
             (fun (k, priority) ->
               let tag =
                 Printf.sprintf "%s/%s k=%d p=%d" name lib.Libraries.lib_name k
                   priority
               in
-              let par, _ =
-                Cut_mapper.map_arena ~jobs:2 ~k ~priority ~subject:g db a
-              in
-              audit_clean tag g par)
+              audit_clean tag g (Cut_mapper.map ~jobs:2 ~k ~priority db g))
             [ (4, 3); (5, 8) ])
         (small_circuits ()))
     libs
@@ -236,16 +216,15 @@ let test_million_node_soc () =
     Printf.printf
       "[test_arena_cuts] 1M SoC skipped (set DAGMAP_HUGE=1 to run)\n%!"
   else begin
-    let net = Generators.synthetic_soc ~seed:7 ~nodes:1_000_000 () in
-    let a = Arena.of_network net in
-    check tbool "1M+ nodes" true (Arena.num_nodes a >= 1_000_000);
-    let g = Arena.to_subject a in
-    let db = Boolean_match.prepare (Libraries.lib2_like ()) in
-    let run jobs =
-      Cut_mapper.map_arena ~jobs ~k:4 ~priority:8 ~subject:g db a
+    let g =
+      Subject.of_network (Generators.synthetic_soc ~seed:7 ~nodes:1_000_000 ())
     in
-    let seq, _ = run 1 and par, stats = run 4 in
-    check tbool "1M parallel levels" true (stats.Parmap.parallel_levels > 0);
+    check tbool "1M+ nodes" true (Subject.num_nodes g >= 1_000_000);
+    let db = Boolean_match.prepare (Libraries.lib2_like ()) in
+    let run jobs = Cut_mapper.map ~jobs ~k:4 ~priority:8 db g in
+    let seq = run 1 and par = run 4 in
+    check tbool "1M parallel levels" true
+      (par.Cut_mapper.par.Parmap.parallel_levels > 0);
     check_same_result "1M seq=par" seq par;
     audit_clean "1M soc" g par
   end
@@ -255,8 +234,6 @@ let () =
     [ ( "parity",
         [ Alcotest.test_case "wide parallel" `Quick test_parallel_parity_wide;
           Alcotest.test_case "capacity reruns" `Quick test_capacity_reruns;
-          Alcotest.test_case "cover via to_subject" `Quick
-            test_arena_without_subject;
           Alcotest.test_case "external arrivals" `Quick test_pi_arrival_parity ] );
       ( "audit",
         [ Alcotest.test_case "mode x k x priority x library" `Quick

@@ -23,7 +23,7 @@ let small_graphs () =
 let test_cut_validity () =
   List.iter
     (fun (name, g) ->
-      let cuts = Cuts.enumerate ~k:4 ~priority:8 g in
+      let cuts = Cuts_oracle.enumerate ~k:4 ~priority:8 g in
       let total = ref 0 in
       Array.iteri
         (fun node node_cuts ->
@@ -40,7 +40,7 @@ let test_cut_validity () =
               if not (Cuts.is_trivial c) then
                 check tbool
                   (Printf.sprintf "%s node %d: cut function correct" name node)
-                  true (Cuts.check g node c))
+                  true (Cuts_oracle.check g node c))
             node_cuts)
         cuts;
       check tbool "enumerated something" true (!total > Subject.num_nodes g))
@@ -48,7 +48,7 @@ let test_cut_validity () =
 
 let test_trivial_cut_present () =
   let _, g = List.hd (small_graphs ()) in
-  let cuts = Cuts.enumerate g in
+  let cuts = Cuts_oracle.enumerate g in
   Array.iteri
     (fun node node_cuts ->
       check tbool
@@ -61,7 +61,7 @@ let test_trivial_cut_present () =
 
 let test_priority_bound () =
   let _, g = List.nth (small_graphs ()) 2 in
-  let cuts = Cuts.enumerate ~k:4 ~priority:3 g in
+  let cuts = Cuts_oracle.enumerate ~k:4 ~priority:3 g in
   Array.iter
     (fun node_cuts ->
       (* priority non-trivial cuts + trivial + possibly the fanin
@@ -79,10 +79,9 @@ let test_cut_cone () =
   Subject.Builder.output b "o" i3;
   let g = Subject.Builder.finish b in
   let cut = { Cuts.leaves = [| x |]; func = Truth.lognot (Truth.var 1 0); depth = 0 } in
-  check tbool "cut checks" true (Cuts.check g i3 cut);
-  let a = Arena.of_subject g in
+  check tbool "cut checks" true (Cuts_oracle.check g i3 cut);
   let cone =
-    Cuts.cut_cone a ~levels:(Arena.levels a) ~folded:(fun _ -> false) i3 cut
+    Cuts.cut_cone g ~levels:(Subject.levels g) ~folded:(fun _ -> false) i3 cut
   in
   check tint "cone size" 3 (List.length cone)
 
@@ -206,8 +205,8 @@ let test_labels_bound_netlist_delay () =
       let db = Boolean_match.prepare (Libraries.lib2_like ()) in
       let r = Cut_mapper.map db g in
       let worst_label =
-        List.fold_left
-          (fun acc o -> Float.max acc r.Cut_mapper.labels.(o.Subject.out_node))
+        Array.fold_left
+          (fun acc (_, node) -> Float.max acc r.Cut_mapper.labels.(node))
           0.0 g.Subject.outputs
       in
       check (Alcotest.float 1e-6)
@@ -268,11 +267,11 @@ let test_pi_arrival_uniform_shift () =
   let db = Boolean_match.prepare (Libraries.lib2_like ()) in
   let base = Cut_mapper.map db g in
   let shifted = Cut_mapper.map ~pi_arrival:(fun _ -> -2.0) db g in
-  List.iter
-    (fun o ->
-      check (Alcotest.float 1e-9) ("output " ^ o.Subject.out_name)
-        (base.Cut_mapper.labels.(o.Subject.out_node) -. 2.0)
-        shifted.Cut_mapper.labels.(o.Subject.out_node))
+  Array.iter
+    (fun (name, node) ->
+      check (Alcotest.float 1e-9) ("output " ^ name)
+        (base.Cut_mapper.labels.(node) -. 2.0)
+        shifted.Cut_mapper.labels.(node))
     g.Subject.outputs
 
 (* --- fallback retention ---------------------------------------------- *)
@@ -342,13 +341,15 @@ let qc_cuts_valid_in_circuit =
     (fun seed ->
       let net = Generators.random_dag ~seed ~inputs:7 ~outputs:3 ~nodes:35 () in
       let g = Subject.of_network net in
-      let cuts = Cuts.enumerate ~k:4 ~priority:6 g in
+      let cuts = Cuts_oracle.enumerate ~k:4 ~priority:6 g in
       let ok = ref true in
       Array.iteri
         (fun node node_cuts ->
           List.iter
             (fun c ->
-              if not (Cuts.is_trivial c) && not (Cuts.check ~rounds:4 g node c)
+              if
+                (not (Cuts.is_trivial c))
+                && not (Cuts_oracle.check ~rounds:4 g node c)
               then ok := false)
             node_cuts)
         cuts;

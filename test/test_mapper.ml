@@ -171,7 +171,7 @@ let test_minimal_library_is_identity_cover () =
            List.iter visit (Subject.fanins g u)
        end
      in
-     List.iter (fun o -> visit o.Subject.out_node) g.Subject.outputs;
+     Array.iter (fun (_, node) -> visit node) g.Subject.outputs;
      Hashtbl.length reachable)
 
 let test_unmappable_raises () =
@@ -246,7 +246,7 @@ let brute_force_arrivals lib g =
         Array.of_list
           (Oracle.node_matches rooting Matcher.Standard g ~fanouts node))
   in
-  let outs = Array.of_list g.Subject.outputs in
+  let outs = g.Subject.outputs in
   let best = Array.make (Array.length outs) infinity in
   let choice = Array.make n 0 in
   let arrival = Array.make n 0.0 in
@@ -257,8 +257,7 @@ let brute_force_arrivals lib g =
           arrival.(u) <- Oracle.arrival arrival all_matches.(u).(choice.(u))
       done;
       Array.iteri
-        (fun i o ->
-          best.(i) <- Float.min best.(i) arrival.(o.Subject.out_node))
+        (fun i (_, node) -> best.(i) <- Float.min best.(i) arrival.(node))
         outs
     end
     else
@@ -329,9 +328,8 @@ let test_optimality_vs_exhaustive () =
         let tree = label Mapper.Tree and dag = label Mapper.Dag in
         let ext = label Mapper.Dag_extended in
         Array.iteri
-          (fun i o ->
-            let node = o.Subject.out_node in
-            let what = Printf.sprintf "seed %d output %s" seed o.Subject.out_name in
+          (fun i (name, node) ->
+            let what = Printf.sprintf "seed %d output %s" seed name in
             check tfloat (what ^ ": dag label = optimum") optimum.(i) dag.(node);
             check tbool (what ^ ": extended <= optimum") true
               (ext.(node) <= optimum.(i) +. 1e-9);
@@ -362,12 +360,11 @@ let test_cut_engine_reaches_optimum () =
           (Dagmap_cutmap.Cut_mapper.map ~priority:1_000_000 bdb g)
             .Dagmap_cutmap.Cut_mapper.labels
         in
-        List.iter
-          (fun o ->
-            let node = o.Subject.out_node in
+        Array.iter
+          (fun (name, node) ->
             if not (cut.(node) <= dag.(node) +. 1e-9) then
-              Alcotest.failf "seed %d output %s: cut %.3f > dag %.3f" seed
-                o.Subject.out_name cut.(node) dag.(node))
+              Alcotest.failf "seed %d output %s: cut %.3f > dag %.3f" seed name
+                cut.(node) dag.(node))
           g.Subject.outputs)
     (List.init 2000 (fun i -> i));
   check tbool "most seeds checked" true (!checked >= 1500)
@@ -382,10 +379,9 @@ let test_negative_pi_arrivals () =
   let shift = -10.0 in
   List.iter
     (fun mode ->
-      let a = Arena.of_subject g in
-      let base, _, _, _ = Mapper.label mode db a in
+      let base, _, _, _ = Mapper.label mode db g in
       let shifted, _, _, _ =
-        Mapper.label ~pi_arrival:(fun _ -> shift) mode db a
+        Mapper.label ~pi_arrival:(fun _ -> shift) mode db g
       in
       Array.iteri
         (fun n b ->

@@ -130,18 +130,16 @@ let test_index_sound () =
       List.iter
         (fun (cname, net) ->
           let g = Subject.of_network net in
-          let a = Arena.of_subject g in
           let fanouts = Subject.fanout_counts g in
-          let afanouts = Arena.fanout_counts a in
-          let alevels = Arena.levels a in
+          let levels = Subject.levels g in
           List.iter
             (fun cls ->
               for node = 0 to Subject.num_nodes g - 1 do
                 let brute = Oracle.node_matches rooting cls g ~fanouts node in
                 let indexed = ref [] in
                 ignore
-                  (Mapper.for_each_node_match db cls a ~fanouts:afanouts
-                     ~levels:alevels node (fun m -> indexed := m :: !indexed));
+                  (Mapper.for_each_node_match db cls g ~fanouts ~levels node
+                     (fun m -> indexed := m :: !indexed));
                 if match_keys ids !indexed <> match_keys ids brute then
                   Alcotest.failf "%s/%s/%s node %d: index differs from brute force"
                     lib.Libraries.lib_name cname (Matcher.class_name cls) node

@@ -23,9 +23,14 @@ let one_pattern gate =
   | [ p ] -> p
   | ps -> Alcotest.failf "expected 1 pattern, got %d" (List.length ps)
 
+(* The engine's matcher, collected. *)
+let matches cls g ~fanouts p root =
+  let acc = ref [] in
+  Mapper.for_each_match cls g ~fanouts p root (fun m -> acc := m :: !acc);
+  List.rev !acc
+
 let count cls g p root =
-  let fanouts = Subject.fanout_counts g in
-  List.length (Matcher.matches cls g ~fanouts p root)
+  List.length (matches cls g ~fanouts:(Subject.fanout_counts g) p root)
 
 (* --- basics --------------------------------------------------------- *)
 
@@ -93,7 +98,7 @@ let test_figure1 () =
     (count Matcher.Extended g and2 top);
   (* The extended match folds both pattern leaves onto n. *)
   let fanouts = Subject.fanout_counts g in
-  (match Matcher.matches Matcher.Extended g ~fanouts and2 top with
+  (match matches Matcher.Extended g ~fanouts and2 top with
    | [ m ] ->
      check tint "both pins bound to n" m.Matcher.pins.(0) m.Matcher.pins.(1)
    | _ -> Alcotest.fail "expected exactly one extended match")
@@ -132,7 +137,7 @@ let test_figure2_matching () =
   let fanouts = Subject.fanout_counts g in
   List.iter
     (fun root ->
-      let ms = Matcher.matches Matcher.Standard g ~fanouts p root in
+      let ms = matches Matcher.Standard g ~fanouts p root in
       check tbool "covers mid" true
         (List.exists (fun m -> Array.mem mid m.Matcher.covered) ms))
     [ out1; out2 ]

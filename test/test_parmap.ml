@@ -219,7 +219,7 @@ let test_unmappable_propagates () =
       check tbool
         (Printf.sprintf "unmappable raises, jobs=%d" jobs)
         true
-        (match Mapper.label ~jobs Mapper.Dag db (Arena.of_subject g) with
+        (match Mapper.label ~jobs Mapper.Dag db g with
          | _ -> false
          | exception Mapper.Unmappable _ -> true))
     [ 1; 2; 4 ]
@@ -299,20 +299,19 @@ let test_sweep_visits () =
     Subject.of_network
       (Generators.random_dag ~seed:3 ~inputs:64 ~outputs:16 ~nodes:2000 ())
   in
-  let a = Arena.of_subject g in
-  let levels = Arena.levels a in
+  let levels = Subject.levels g in
   List.iter
     (fun jobs ->
-      let visits = Array.make (Arena.num_nodes a) 0 in
+      let visits = Array.make (Subject.num_nodes g) 0 in
       let ok = Atomic.make true in
       let stats =
-        Parmap.sweep ~jobs a (fun w node ->
+        Parmap.sweep ~jobs g (fun w node ->
             if w < 0 || w >= jobs then Atomic.set ok false;
             (* Every fanin sits at a lower level, so it was visited
                before this level started. *)
             List.iter
               (fun x -> if x >= 0 && visits.(x) <> 1 then Atomic.set ok false)
-              [ Arena.fanin0 a node; Arena.fanin1 a node ];
+              [ Subject.fanin0 g node; Subject.fanin1 g node ];
             visits.(node) <- visits.(node) + 1)
       in
       check tbool (Printf.sprintf "jobs %d: workers and order" jobs) true

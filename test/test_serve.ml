@@ -395,6 +395,35 @@ let test_spec_only_resolver () =
   check (Alcotest.option tstr) "audited" (Some "ok") (str_field "audit" r);
   Client.close c
 
+(* A spec names a size, and the daemon must not build whatever a
+   client names: soc:<n>/chain:<n> above Flow.max_spec_size answer
+   too_large at once, before anything is generated, and the daemon
+   keeps serving. The largest size an in-repo client sends still
+   maps. *)
+let test_spec_too_large () =
+  with_server ~resolver:Flow.circuit_of_spec @@ fun sock _srv ->
+  let c = Client.connect sock in
+  let map spec =
+    Client.request c
+      { (Proto.request Proto.Map) with Proto.circuit = Some spec }
+  in
+  List.iter
+    (fun spec ->
+      let t0 = Clock.now () in
+      let r = map spec in
+      let dt = Clock.since t0 in
+      check (Alcotest.option tstr) (spec ^ " refused") (Some "too_large")
+        (str_field "code" r);
+      check tbool
+        (Printf.sprintf "%s answered in %.3fs" spec dt)
+        true (dt < 1.0))
+    [ "soc:100000000"; "soc:100001:3";
+      Printf.sprintf "chain:%d" (Flow.max_spec_size + 1);
+      Printf.sprintf "chain:%d" max_int ];
+  check tstr "daemon still serves" "ok" (status (map "c432"));
+  check tstr "chain:80000 maps" "ok" (status (map "chain:80000"));
+  Client.close c
+
 (* mode=cut runs the CLI's cut engine (priority 8) and agrees with an
    in-process Flow.map of the same circuit. *)
 let test_cut_mode () =
@@ -525,7 +554,9 @@ let () =
             test_server_side_circuit_and_blif_reply;
           Alcotest.test_case "circuit= names no file" `Quick
             test_spec_only_resolver;
-          Alcotest.test_case "mode=cut" `Quick test_cut_mode ] );
+          Alcotest.test_case "mode=cut" `Quick test_cut_mode;
+          Alcotest.test_case "circuit= size bound" `Quick
+            test_spec_too_large ] );
       ( "lifecycle",
         [ Alcotest.test_case "busy under overload" `Quick
             test_busy_backpressure;

@@ -62,15 +62,8 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
       ignore
         (Mapper.for_each_node_match db cls g ~fanouts ~levels node (fun m ->
              let gate = Matcher.gate m in
-             let arrival = ref 0.0 in
-             Array.iteri
-               (fun pin pin_node ->
-                 if pin_node >= 0 then
-                   arrival :=
-                     Float.max !arrival
-                       (labels.(pin_node) +. Gate.intrinsic_delay gate pin))
-               m.Matcher.pins;
-             if !arrival <= budget.(node) +. epsilon then begin
+             let arrival = Mapper.arrival ~skew:0.0 labels gate m.Matcher.pins in
+             if arrival <= budget.(node) +. epsilon then begin
                let area = ref gate.Gate.area in
                let counted = ref [] in
                Array.iter
@@ -85,7 +78,7 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
                      area := !area +. af.(pin_node)
                    end)
                  m.Matcher.pins;
-               let cost = (!area, !arrival) in
+               let cost = (!area, arrival) in
                if cost < !best_cost then begin
                  best_cost := cost;
                  best := Some m
@@ -97,7 +90,7 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
         | None -> begin
           (* Guard against floating-point corner cases: fall back to
              the delay-optimal match. *)
-          match result.Mapper.best.(node) with
+          match Mapper.best result node with
           | Some m -> m
           | None -> assert false
         end
@@ -114,43 +107,24 @@ let recover ?(per_output = false) db mode g (result : Mapper.result) =
         m.Matcher.pins
     end
   done;
-  (* Assemble the netlist from the chosen matches. *)
+  (* Instances in descending node order, through the shared builder. *)
+  let chosen node = Option.get chosen.(node) in
   let order = ref [] in
   for node = 0 to n - 1 do
     if needed.(node) then order := node :: !order
   done;
-  let index = Hashtbl.create 64 in
-  List.iteri (fun i node -> Hashtbl.replace index node i) !order;
-  let driver_of node =
-    if Subject.is_pi g node then Netlist.D_pi node
-    else Netlist.D_gate (Hashtbl.find index node)
+  let recovered =
+    Cover.netlist g
+      { Cover.gate = (fun node -> Matcher.gate (chosen node));
+        inputs =
+          (fun node f ->
+            Array.iteri
+              (fun pin x -> if x >= 0 then f pin x)
+              (chosen node).Matcher.pins);
+        covers = (fun node -> (chosen node).Matcher.covered);
+        constant = Cover.no_constants }
+      (Array.of_list !order)
   in
-  let instances =
-    Array.of_list
-      (List.mapi
-         (fun i node ->
-           let m = Option.get chosen.(node) in
-           let gate = Matcher.gate m in
-           let inputs =
-             Array.map
-               (fun pin_node ->
-                 if pin_node >= 0 then driver_of pin_node
-                 else Netlist.D_const false)
-               m.Matcher.pins
-           in
-           { Netlist.inst_id = i; gate; inputs; subject_root = node;
-             covers = m.Matcher.covered })
-         !order)
-  in
-  let outputs =
-    List.map
-      (fun (name, node) -> (name, driver_of node))
-      (Array.to_list g.Subject.outputs)
-    @ List.map
-        (fun (name, b) -> (name, Netlist.D_const b))
-        g.Subject.const_outputs
-  in
-  let recovered = { Netlist.source = g; instances; outputs } in
   (* The area-flow heuristic is not guaranteed to beat the
      delay-optimal cover on every circuit; keep whichever is
      smaller so recovery is never a regression. *)

@@ -25,7 +25,13 @@
     on nodes at strictly smaller levels, so [jobs > 1] fans each wide
     level across a {!Parmap} domain pool while [jobs = 1] runs the
     same sweep on the calling domain. Labels, best matches and covers
-    are bit-identical for every [jobs]. *)
+    are bit-identical for every [jobs].
+
+    The labeler scores each binding where the backtracking search
+    stands, without building a match, and keeps each node's winner as
+    a pattern id and pins in flat int arrays ({!winners}). The cover
+    walks those arrays through the one netlist builder, {!Cover}, and
+    rebuilds a match only for the instances it emits. *)
 
 open Dagmap_genlib
 open Dagmap_subject
@@ -61,10 +67,16 @@ type stats = {
       (** supergate instances in the final cover netlist *)
 }
 
+type winners
+(** The labeler's winners, flat: per subject node the id of the
+    winning pattern ({!Matchdb.pattern}) and the subject node bound to
+    each of its gate's pins, in int arrays. No match record is kept;
+    {!winner} rebuilds one on demand. *)
+
 type result = {
   netlist : Netlist.t;
   labels : float array;  (** optimal arrival per subject node *)
-  best : Matcher.mtch option array;
+  winners : winners;
   run : stats;
   par : Parmap.par_stats;  (** shape and timing of the level sweep *)
 }
@@ -80,16 +92,38 @@ val label :
   mode ->
   Matchdb.t ->
   Subject.t ->
-  float array
-  * Matcher.mtch option array
-  * (int * int * int)
-  * Parmap.par_stats
-(** Labeling pass only: optimal arrival and best match per node,
+  float array * winners * (int * int * int) * Parmap.par_stats
+(** Labeling pass only: optimal arrival and winner per node,
     [(matches tried, supergate matches tried, patterns tried)] and the
     sweep's level statistics. [pi_arrival] overrides the arrival time
     of a PI node (default 0 everywhere) — the sequential extension
     uses it to inject latch-output arrivals. Raises {!Unmappable} for
-    any [jobs] exactly when a node has no match. *)
+    any [jobs] exactly when a node has no match.
+
+    The pass tries only matches that can still win: it skips the
+    {!Matchdb.redundant} patterns and the second child order at
+    {!Matchdb.symmetric} NANDs. Every match it skips has an earlier
+    twin with the same gate, arrival, area and pin count, and [better]
+    is strict, so labels and winners equal those of the full
+    enumeration; the match counts are those of the pruned one. *)
+
+val winner : winners -> int -> Matcher.mtch option
+(** [winner w node]: the match the labeler chose at [node] ([None] at
+    a PI), rebuilt by re-running its pattern at [node] and taking the
+    first binding with the stored pins. It equals the best match of a
+    labeler that enumerates every match: same pattern, pins and
+    [covered]. *)
+
+val best : result -> int -> Matcher.mtch option
+(** [best r node] is [winner r.winners node]. *)
+
+val arrival : skew:float -> float array -> Gate.t -> int array -> float
+(** [arrival ~skew labels gate pins]: the arrival [gate] realizes when
+    pin [i] is driven by subject node [pins.(i)] ([-1]: unused) — the
+    max over used pins of label + intrinsic pin delay + [skew], or 0
+    for a gate that uses no pin. Never clamped at 0, so negative
+    labels stay meaningful. The labeler passes
+    {!test_pin_delay_skew}; area recovery passes 0. *)
 
 val for_each_match :
   Matcher.match_class ->
@@ -101,9 +135,10 @@ val for_each_match :
   unit
 (** [for_each_match cls g ~fanouts p root f] calls [f] once per
     distinct successful match of [p] rooted at subject node [root]
-    (distinct = distinct pin binding), in backtracking order. [fanouts]
-    must be [Subject.fanout_counts g] (used by the exact-match
-    out-degree test). *)
+    (distinct = distinct pin binding), in backtracking order, trying
+    both child orders at every NAND. [fanouts] must be
+    [Subject.fanout_counts g] (used by the exact-match out-degree
+    test). *)
 
 val for_each_node_match :
   Matchdb.t ->
@@ -121,7 +156,7 @@ val for_each_node_match :
     and [levels] must be {!Subject.fanout_counts} and
     {!Subject.levels}. The match set equals that of
     {!for_each_match} over every pattern; the test suite asserts
-    this. *)
+    this. Nothing is pruned here. *)
 
 val super_gates_in : Netlist.t -> int
 (** Number of supergate instances in a netlist (the

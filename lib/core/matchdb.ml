@@ -68,15 +68,91 @@ let rec fits a dm node =
     x >= 0 && y >= 0
     && ((fits a l x && fits a r y) || (fits a l y && fits a r x))
 
+(* ------------------------------------------------------------------ *)
+(* Pruning: symmetric NANDs and redundant patterns                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The canonical form of a subtree: NAND children in either order,
+   each leaf written as its pin's delay. [form_hashes] hashes every
+   node's form bottom up (nodes are topologically ordered); [same]
+   then compares two forms structurally, trying only the child
+   pairings whose hashes agree. Equal forms mean isomorphic subtrees
+   with equal delays at corresponding leaves; delays compare by their
+   bits, so that equality is exact. *)
+let delay_bits p pin =
+  Int64.bits_of_float (Gate.intrinsic_delay p.Pattern.gate pin)
+
+let mix a b = ((a * 0x2545F491) + b + (a lsr 29)) land max_int
+
+(* The form hashes of a strict tree's nodes, or [None] when [p] is not
+   a strict tree: some node feeds two users (leaves included), or some
+   pin sits at two leaves. Only in a strict tree are the two subtrees
+   under a NAND disjoint, so that swapping their images gives another
+   valid binding. A leaf-shared pattern like [mux21], whose select pin
+   reaches the root both directly and through an inverter, has no
+   such swap. *)
+let form_hashes p =
+  let nodes = p.Pattern.nodes in
+  let n = Array.length nodes in
+  let h = Array.make n 0 in
+  let pin_seen = Array.make (Gate.num_pins p.Pattern.gate) false in
+  let strict = ref true and i = ref 0 in
+  while !strict && !i < n do
+    let k = !i in
+    if p.Pattern.fanout.(k) > 1 then strict := false;
+    (match nodes.(k) with
+     | Pattern.Pleaf pin ->
+       if pin_seen.(pin) then strict := false;
+       pin_seen.(pin) <- true;
+       h.(k) <- mix 1 (Int64.to_int (delay_bits p pin))
+     | Pattern.Pinv c -> h.(k) <- mix 2 h.(c)
+     | Pattern.Pnand (a, b) ->
+       h.(k) <- mix (mix 3 (min h.(a) h.(b))) (max h.(a) h.(b)));
+    incr i
+  done;
+  if !strict then Some h else None
+
+let rec same p hp i q hq j =
+  hp.(i) = hq.(j)
+  &&
+  match p.Pattern.nodes.(i), q.Pattern.nodes.(j) with
+  | Pattern.Pleaf a, Pattern.Pleaf b ->
+    Int64.equal (delay_bits p a) (delay_bits q b)
+  | Pattern.Pinv a, Pattern.Pinv b -> same p hp a q hq b
+  | Pattern.Pnand (a, b), Pattern.Pnand (c, d) ->
+    (same p hp a q hq c && same p hp b q hq d)
+    || (same p hp a q hq d && same p hp b q hq c)
+  | (Pattern.Pleaf _ | Pattern.Pinv _ | Pattern.Pnand _), _ -> false
+
+(* The NANDs of a strict tree whose two subtrees are isomorphic with
+   equal pin delays. The labeler tries only the first child order
+   there; the second order yields only twins (the same gate and the
+   same multiset of subject node and pin delay) of bindings the first
+   order already gave. *)
+let symmetric_nands p h =
+  let nodes = p.Pattern.nodes in
+  let mask = ref Bytes.empty in
+  for i = 0 to Array.length nodes - 1 do
+    match nodes.(i) with
+    | Pattern.Pnand (a, b) when same p h a p h b ->
+      if Bytes.length !mask = 0 then
+        mask := Bytes.make (Array.length nodes) '\000';
+      Bytes.set !mask i '\001'
+    | Pattern.Pleaf _ | Pattern.Pinv _ | Pattern.Pnand _ -> ()
+  done;
+  !mask
+
 (* Patterns of one root kind, in enumeration order, each tagged with
-   the index of its demand in [demands]. *)
+   the index of its demand in [demands]. [first] is the pattern id of
+   [patterns.(0)]. *)
 type rooted = {
+  first : int;
   patterns : Pattern.t array;
   demand_ix : int array;
   demands : demand array;
 }
 
-let rooted patterns =
+let rooted first patterns =
   let ids = Hashtbl.create 64 and demands = ref [] in
   let demand_ix =
     Array.map
@@ -91,19 +167,29 @@ let rooted patterns =
           i)
       patterns
   in
-  { patterns; demand_ix; demands = Array.of_list (List.rev !demands) }
+  { first; patterns; demand_ix; demands = Array.of_list (List.rev !demands) }
 
 type t = {
   lib : Libraries.t;
   (* INV- and NAND-rooted patterns in enumeration order. The order is
      the walk of the former top-two-level buckets (see [bucket_rank]);
      it decides ties between equally good matches, so it is part of
-     the bit-identity contract. *)
+     the bit-identity contract. A pattern's id is its position in
+     [patterns]: the INV-rooted ones first. *)
+  patterns : Pattern.t array;
   inv_rooted : rooted;
   nand_rooted : rooted;
-  shapes : Pattern.t array option array;
-      (* shape code -> the patterns of the matching [*_rooted] that
-         fit it, filled on first use (see [candidates]) *)
+  masks : Bytes.t array;
+      (* pattern id -> its symmetric NANDs ([Bytes.empty]: none) *)
+  redundant : Bytes.t;
+      (* pattern id -> '\001' when an earlier pattern of the same gate
+         is delay-isomorphic to it *)
+  max_nodes : int;
+  max_pins : int;
+  shapes : int array option array;
+      (* shape code -> the ids of the patterns of the matching
+         [*_rooted] that fit it, filled on first use (see
+         [candidates]) *)
   mutable boolean_memo : Boolean_match.t option;
       (* lazily-built Boolean index over the same library (incl. any
          supergates), shared by the cut mappers — see [boolean] *)
@@ -137,14 +223,50 @@ let prepare lib =
       (List.rev lib.Libraries.patterns)
   in
   let rooted_by f =
-    rooted
-      (Array.of_list
-         (List.filter (fun p -> f p.Pattern.nodes.(p.Pattern.root)) ranked))
+    Array.of_list
+      (List.filter (fun p -> f p.Pattern.nodes.(p.Pattern.root)) ranked)
   in
   (* Wire/buffer patterns (leaf roots) cannot root a cover. *)
+  let inv = rooted_by (function Pattern.Pinv _ -> true | _ -> false) in
+  let nand = rooted_by (function Pattern.Pnand _ -> true | _ -> false) in
+  let patterns = Array.append inv nand in
+  let n = Array.length patterns in
+  let masks = Array.make n Bytes.empty and redundant = Bytes.make n '\000' in
+  (* The strict trees seen so far, by root hash; a pattern is
+     redundant when an earlier one of the same gate has the same root
+     form. Only the patterns are kept: an earlier pattern's hashes are
+     recomputed on the rare root-hash hit, so the table stays small. *)
+  let roots = Hashtbl.create 256 in
+  Array.iteri
+    (fun id p ->
+      match form_hashes p with
+      | None -> ()
+      | Some h ->
+        masks.(id) <- symmetric_nands p h;
+        let root = h.(p.Pattern.root) in
+        let twin q =
+          q.Pattern.gate == p.Pattern.gate
+          &&
+          match form_hashes q with
+          | Some hq -> same p h p.Pattern.root q hq q.Pattern.root
+          | None -> false
+        in
+        if List.exists twin (Hashtbl.find_all roots root) then
+          Bytes.set redundant id '\001'
+        else Hashtbl.add roots root p)
+    patterns;
   { lib;
-    inv_rooted = rooted_by (function Pattern.Pinv _ -> true | _ -> false);
-    nand_rooted = rooted_by (function Pattern.Pnand _ -> true | _ -> false);
+    patterns;
+    inv_rooted = rooted 0 inv;
+    nand_rooted = rooted (Array.length inv) nand;
+    masks;
+    redundant;
+    max_nodes =
+      Array.fold_left (fun m p -> max m (Array.length p.Pattern.nodes)) 1 patterns;
+    max_pins =
+      Array.fold_left
+        (fun m p -> max m (Gate.num_pins p.Pattern.gate))
+        1 patterns;
     shapes = Array.make shape_count.(shape_levels) None;
     boolean_memo = None }
 
@@ -166,8 +288,13 @@ let boolean db =
 
 let num_patterns db = List.length db.lib.Libraries.patterns
 
-let rooting_patterns db =
-  Array.to_list db.inv_rooted.patterns @ Array.to_list db.nand_rooted.patterns
+let rooting_patterns db = Array.to_list db.patterns
+
+let pattern db id = db.patterns.(id)
+let symmetric db id = db.masks.(id)
+let redundant db id = Bytes.get db.redundant id <> '\000'
+let max_nodes db = db.max_nodes
+let max_pins db = db.max_pins
 
 (* A slot is filled the first time its shape is seen, from the node
    in hand; equal codes give equal fills, so the store is the same
@@ -178,29 +305,32 @@ let candidates db a node =
   else
     let code = shape_code a shape_levels node in
     match db.shapes.(code) with
-    | Some ps -> ps
+    | Some ids -> ids
     | None ->
       let r =
         if fanin a.Subject.fanin1 node < 0 then db.inv_rooted
         else db.nand_rooted
       in
       let ok = Array.map (fun dm -> fits a dm node) r.demands in
-      let ps =
-        Array.of_list
-          (List.filteri
-             (fun i _ -> ok.(r.demand_ix.(i)))
-             (Array.to_list r.patterns))
-      in
-      db.shapes.(code) <- Some ps;
-      ps
+      let ids = ref [] in
+      for i = Array.length r.patterns - 1 downto 0 do
+        if ok.(r.demand_ix.(i)) then ids := (r.first + i) :: !ids
+      done;
+      let ids = Array.of_list !ids in
+      db.shapes.(code) <- Some ids;
+      ids
 
-let for_each_candidate db a ~level node try_pattern =
+let for_each_candidate db a ~pruned ~level node try_pattern =
+  let ids = candidates db a node in
   let tried = ref 0 in
-  Array.iter
-    (fun p ->
-      if p.Pattern.depth <= level then begin
-        incr tried;
-        try_pattern p
-      end)
-    (candidates db a node);
+  for i = 0 to Array.length ids - 1 do
+    let id = ids.(i) in
+    if
+      db.patterns.(id).Pattern.depth <= level
+      && not (pruned && Bytes.unsafe_get db.redundant id <> '\000')
+    then begin
+      incr tried;
+      try_pattern id
+    end
+  done;
   !tried

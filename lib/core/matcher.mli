@@ -10,11 +10,13 @@
       requirement, allowing a pattern to fold onto shared subject
       structure.
 
-    This module holds the classes, the match record and the per-try
-    steps the matcher shares; the matcher itself is
-    {!Mapper.for_each_match}. NAND input permutations are explored by
-    trying both fanin orders at every NAND, so pattern generation need
-    not enumerate them. *)
+    This module holds the classes, the match record and the steps the
+    matcher shares; the matcher itself is {!Mapper.for_each_match}.
+    The labeler never builds an {!mtch}: it scores each binding where
+    it stands and keeps only the winner's pattern and pins, from which
+    {!Mapper.best} rebuilds the record on demand. NAND input
+    permutations are explored by trying both fanin orders at every
+    NAND, so pattern generation need not enumerate them. *)
 
 open Dagmap_genlib
 
@@ -34,12 +36,12 @@ type mtch = {
 
 val gate : mtch -> Gate.t
 
-val bound : int array -> int -> bool
-(** [bound binding sid]: some pattern node is bound to subject node
-    [sid] ([binding] maps pattern node to subject node, [-1] when
-    unbound). The injectivity test of standard and exact matches. *)
+val bound : int array -> int -> int -> bool
+(** [bound binding n sid]: one of the first [n] pattern nodes is bound
+    to subject node [sid] ([binding] maps pattern node to subject
+    node, [-1] when unbound). The injectivity test of standard and
+    exact matches. *)
 
-val emitter : Pattern.t -> int array -> (mtch -> unit) -> unit -> unit
-(** [emitter p binding f] is one try's report step: each call reads
-    the complete [binding] of [p] and passes the match to [f], unless
-    this try already reported the same pin binding. *)
+val covered : Pattern.t -> int array -> int array
+(** [covered p binding]: the distinct subject nodes [binding] maps the
+    non-leaf nodes of [p] to, ascending — a match's [covered]. *)

@@ -147,66 +147,31 @@ let eval_node ~k ~priority ~levels ~label db ~stored_of x y node =
   in
   (stored, verdict, !matches_evaluated)
 
-(* Cover construction with free duplication, as in the paper: a queue
-   seeded with the output drivers; each popped node contributes one
-   instance whose inputs are its chosen cut's leaves. Constant-folded
-   nodes drive constants and need no instance. *)
+(* Cover construction with free duplication, as in the paper,
+   through the shared builder: a FIFO seeded with the output drivers;
+   each popped node contributes one instance whose inputs are its
+   chosen cut's leaves. Constant-folded nodes drive constants and need
+   no instance. *)
 let cover g ~levels ~(chosen : choice option array)
     ~(const_node : bool option array) =
-  let needed = Array.make (Subject.num_nodes g) false in
-  let queue = Queue.create () in
-  let require node =
-    if (not (Subject.is_pi g node)) && const_node.(node) = None
-       && not needed.(node)
-    then begin
-      needed.(node) <- true;
-      Queue.add node queue
-    end
-  in
-  Array.iter (fun (_, node) -> require node) g.Subject.outputs;
-  let picked = ref [] in
-  while not (Queue.is_empty queue) do
-    let node = Queue.pop queue in
-    match chosen.(node) with
-    | None -> assert false
-    | Some c ->
-      picked := (node, c) :: !picked;
-      Array.iter require c.cut.Cuts.leaves
-  done;
-  let index = Array.make (Subject.num_nodes g) (-1) in
-  List.iteri (fun i (node, _) -> index.(node) <- i) !picked;
-  let driver_of node =
-    match const_node.(node) with
-    | Some b -> Netlist.D_const b
-    | None ->
-      if Subject.is_pi g node then Netlist.D_pi node
-      else Netlist.D_gate index.(node)
+  let choice node =
+    match chosen.(node) with Some c -> c | None -> assert false
   in
   let folded node = const_node.(node) <> None in
-  let instances =
-    Array.of_list
-      (List.mapi
-         (fun i (node, c) ->
-           let gate = c.entry.Boolean_match.gate in
-           let inputs = Array.make (Gate.num_pins gate) (Netlist.D_const false) in
-           Array.iteri
-             (fun j leaf ->
-               inputs.(c.entry.Boolean_match.pin_of_input.(j)) <- driver_of leaf)
-             c.cut.Cuts.leaves;
-           let covers =
-             Array.of_list (Cuts.cut_cone g ~levels ~folded node c.cut)
-           in
-           { Netlist.inst_id = i; gate; inputs; subject_root = node; covers })
-         !picked)
+  let c =
+    { Cover.gate = (fun node -> (choice node).entry.Boolean_match.gate);
+      inputs =
+        (fun node f ->
+          let c = choice node in
+          Array.iteri
+            (fun j leaf -> f c.entry.Boolean_match.pin_of_input.(j) leaf)
+            c.cut.Cuts.leaves);
+      covers =
+        (fun node ->
+          Array.of_list (Cuts.cut_cone g ~levels ~folded node (choice node).cut));
+      constant = (fun node -> const_node.(node)) }
   in
-  let outputs =
-    List.map (fun (name, node) -> (name, driver_of node))
-      (Array.to_list g.Subject.outputs)
-    @ List.map
-        (fun (name, b) -> (name, Netlist.D_const b))
-        g.Subject.const_outputs
-  in
-  { Netlist.source = g; instances; outputs }
+  Cover.netlist g c (Cover.walk g c)
 
 (* The cut store: three flat buffers indexed by slot [node * cap + i],
    written once by the node's own sweep visit and read only by

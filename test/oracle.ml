@@ -3,8 +3,11 @@
    pattern: no shape index, no fanin vectors. The reference labeler is
    the paper's DP in its plainest form on top of it, visiting patterns
    in the library's enumeration order so that it breaks ties as the
-   engine does. [check] asserts that [Mapper.label] agrees with it bit
-   for bit, for any number of domains. *)
+   engine does. It enumerates every match of every rooting pattern:
+   it never reads the pruning data of [Matchdb], so it checks the
+   pruned labeler against the unpruned enumeration. [check] asserts
+   that [Mapper.label] agrees with it bit for bit, for any number of
+   domains. *)
 
 open Dagmap_genlib
 open Dagmap_subject
@@ -18,6 +21,28 @@ let rooting lib =
       | Pattern.Pleaf _ -> false
       | Pattern.Pinv _ | Pattern.Pnand _ -> true)
     lib.Libraries.patterns
+
+(* One try's report step: turn the complete [binding] into a match,
+   unless the try already reported the same pin binding. *)
+let emitter p binding f =
+  let seen = ref [] in
+  fun () ->
+    let pins = Array.make (Gate.num_pins p.Pattern.gate) (-1) in
+    Array.iteri
+      (fun i pin -> if pin >= 0 then pins.(pin) <- binding.(i))
+      p.Pattern.pin_of_leaf;
+    if not (List.exists (fun q -> q = pins) !seen) then begin
+      seen := pins :: !seen;
+      let covered = ref [] in
+      Array.iteri
+        (fun i pn ->
+          match pn with
+          | Pattern.Pleaf _ -> ()
+          | Pattern.Pinv _ | Pattern.Pnand _ -> covered := binding.(i) :: !covered)
+        p.Pattern.nodes;
+      let covered = Array.of_list (List.sort_uniq compare !covered) in
+      f { Matcher.pattern = p; pins; covered }
+    end
 
 (* Enumerate matches by backtracking over the pattern DAG, reading
    the graph through [Subject.kind]. [binding] maps pattern node ->
@@ -37,7 +62,7 @@ let for_each_match cls g ~fanouts p root f =
     if b >= 0 then begin
       if b = sid then k ()
     end
-    else if injective && Matcher.bound binding sid then ()
+    else if injective && Matcher.bound binding (Array.length binding) sid then ()
     else begin
       let fanout_ok =
         match cls, nodes.(pid) with
@@ -63,7 +88,7 @@ let for_each_match cls g ~fanouts p root f =
         | (Pattern.Pinv _ | Pattern.Pnand _), _ -> ()
     end
   in
-  go p.Pattern.root root (Matcher.emitter p binding f)
+  go p.Pattern.root root (emitter p binding f)
 
 let matches cls g ~fanouts p root =
   let acc = ref [] in
@@ -119,7 +144,9 @@ let same_match m m' =
   match m, m' with
   | None, None -> true
   | Some m, Some m' ->
-    m.Matcher.pattern == m'.Matcher.pattern && m.Matcher.pins = m'.Matcher.pins
+    m.Matcher.pattern == m'.Matcher.pattern
+    && m.Matcher.pins = m'.Matcher.pins
+    && m.Matcher.covered = m'.Matcher.covered
   | _ -> false
 
 (* [Mapper.label] against the reference, for each domain count: labels
@@ -129,13 +156,13 @@ let check ?pi_arrival ?(jobs = [ 1 ]) ~name mode db g =
   List.iter
     (fun j ->
       let where = Printf.sprintf "%s/%s jobs=%d" name (Mapper.mode_name mode) j in
-      let got, got_best, _, _ = Mapper.label ~jobs:j ?pi_arrival mode db g in
+      let got, winners, _, _ = Mapper.label ~jobs:j ?pi_arrival mode db g in
       Array.iteri
         (fun node l ->
           if got.(node) <> l then
             Alcotest.failf "%s: node %d label %.17g, reference %.17g" where node
               got.(node) l;
-          if not (same_match got_best.(node) want_best.(node)) then
+          if not (same_match (Mapper.winner winners node) want_best.(node)) then
             Alcotest.failf "%s: node %d best match differs from the reference"
               where node)
         want)

@@ -392,6 +392,42 @@ let test_negative_pi_arrivals () =
         base)
     modes
 
+(* Cover golden: per circuit, a digest of the dag netlist's instances
+   (subject root and covers, in instance order) and of its BLIF, on
+   44-3. The rows were recorded from the boxed cover, before winners
+   were stored flat and the cover was shared; they pin the instance
+   order and each instance's covers, which the BLIF, the Verilog and
+   the daemon's replies expose. *)
+let cover_golden =
+  [ ("c880", "a5f76c80b0e63e040fd814e98c14a8ed",
+     "e672f1992755376d540b0b64b13b450e");
+    ("c2670", "201050871bb84304b99501484389aab0",
+     "dfb1c64582fef54111b7650a4db7fc8c") ]
+
+let covers_digest (nl : Netlist.t) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun i ->
+      Printf.bprintf b "%d:" i.Netlist.subject_root;
+      Array.iter (Printf.bprintf b " %d") i.Netlist.covers;
+      Buffer.add_char b '\n')
+    nl.Netlist.instances;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_cover_golden () =
+  let db = Matchdb.prepare (Option.get (Libraries.by_name "44-3")) in
+  let circuits =
+    [ ("c880", Iscas_like.c880_like); ("c2670", Iscas_like.c2670_like) ]
+  in
+  List.iter
+    (fun (name, covers, blif) ->
+      let g = Subject.of_network ((List.assoc name circuits) ()) in
+      let nl = (Mapper.map Mapper.Dag db g).Mapper.netlist in
+      check Alcotest.string (name ^ " covers") covers (covers_digest nl);
+      check Alcotest.string (name ^ " blif") blif
+        (Digest.to_hex (Digest.string (Dagmap_blif.Blif.write_netlist nl))))
+    cover_golden
+
 (* QCheck: random circuits, random library subsets stay equivalent. *)
 let qc_mapping_equivalence =
   QCheck.Test.make ~count:20 ~name:"random circuit mapping equivalence"
@@ -417,7 +453,8 @@ let () =
           Alcotest.test_case "labels = delay" `Quick test_labels_equal_netlist_delay;
           Alcotest.test_case "tree no duplication" `Quick test_tree_no_duplication;
           Alcotest.test_case "minimal identity cover" `Quick
-            test_minimal_library_is_identity_cover ] );
+            test_minimal_library_is_identity_cover;
+          Alcotest.test_case "cover golden" `Quick test_cover_golden ] );
       ( "optimality",
         [ Alcotest.test_case "dag dominates tree" `Quick test_dag_dominates_tree;
           Alcotest.test_case "label bounds" `Quick test_labels_monotone_bound;

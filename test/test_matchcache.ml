@@ -24,6 +24,81 @@ let test_mapper_agreement () =
       ("cla16", Generators.carry_lookahead_adder 16);
       ("rand", Generators.random_dag ~seed:7 ~inputs:10 ~outputs:5 ~nodes:150 ()) ]
 
+(* ------------------------------------------------------------------ *)
+(* Pruning: the labeler against the unpruned reference                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A small random library: INV and NAND2 so that every node maps,
+   symmetric gates (nand3-, nor3- and aoi22-like) and leaf-shared ones
+   (mux21 and xor2). Each pin draws its own delay from a short list,
+   so symmetric pins are sometimes equal (the labeler prunes there)
+   and sometimes not (it must not). *)
+let random_library seed =
+  let rs = Random.State.make [| seed |] in
+  let delays = [| 1.0; 1.0; 1.5; 2.0 |] in
+  let gate name area expr pins =
+    Printf.sprintf "GATE %s %d O=%s;\n%s" name area expr
+      (String.concat ""
+         (List.map
+            (fun pin ->
+              let d = delays.(Random.State.int rs (Array.length delays)) in
+              Printf.sprintf "PIN %s UNKNOWN 1 999 %.2f 0.1 %.2f 0.1\n" pin d d)
+            pins))
+  in
+  let text =
+    String.concat ""
+      [ gate "inv" 928 "!a" [ "a" ];
+        gate "nand2" 1392 "!(a*b)" [ "a"; "b" ];
+        gate "nand3" 1856 "!(a*b*c)" [ "a"; "b"; "c" ];
+        gate "nor3" 1856 "!(a+b+c)" [ "a"; "b"; "c" ];
+        gate "aoi22" 2320 "!(a*b+c*d)" [ "a"; "b"; "c"; "d" ];
+        gate "mux21" 2784 "s*a+!s*b" [ "s"; "a"; "b" ];
+        gate "xor2" 2784 "a*!b+!a*b" [ "a"; "b" ] ]
+  in
+  Libraries.make (Printf.sprintf "random%d" seed)
+    (Genlib_parser.parse_string text)
+
+(* Labels and best matches (gate, pins, covered) of the pruned labeler
+   equal the reference's, which enumerates every match of every
+   pattern, in every mode and for 1, 2 and 4 domains. A mask that
+   skipped a child order with no earlier twin, or a redundant flag on
+   a pattern with no earlier equal, moves some best match here. *)
+let qc_pruning =
+  QCheck.Test.make ~count:40 ~name:"pruning: labels = unpruned reference"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+    (fun seed ->
+      let lib = random_library seed in
+      let net = Generators.random_dag ~seed ~inputs:6 ~outputs:4 ~nodes:50 () in
+      Oracle.check_modes ~jobs:[ 1; 2; 4 ]
+        ~name:(Printf.sprintf "seed %d" seed)
+        lib (Subject.of_network net);
+      true)
+
+(* [Mapper.best] rebuilds each winner from the flat store: at every
+   gate node it must be the reference's best match, [covered]
+   included. *)
+let test_winner_on_demand () =
+  List.iter
+    (fun (name, lib, net) ->
+      let g = Subject.of_network net in
+      let db = Matchdb.prepare lib in
+      let r = Mapper.map Mapper.Dag db g in
+      let _, want = Oracle.label Mapper.Dag db g in
+      for node = 0 to Subject.num_nodes g - 1 do
+        if not (Subject.is_pi g node) then begin
+          if Mapper.best r node = None then
+            Alcotest.failf "%s: node %d has no winner" name node;
+          if not (Oracle.same_match (Mapper.best r node) want.(node)) then
+            Alcotest.failf "%s: node %d winner differs from the reference"
+              name node
+        end
+      done)
+    [ ("c2670/44-3", Option.get (Libraries.by_name "44-3"),
+       Iscas_like.c2670_like ());
+      ("soc/44-1", Libraries.lib44_1_like (),
+       Generators.synthetic_soc ~seed:1 ~nodes:2000 ());
+      ("c432/super", Oracle.supergates (), Iscas_like.c432_like ()) ]
+
 (* The process-global metrics registry aggregates per-run counters
    atomically: after a 4-domain run the registry's matches-tried
    total equals the run's own. *)
@@ -153,7 +228,9 @@ let () =
     [ ( "transparency",
         [ Alcotest.test_case "mapper agreement" `Quick test_mapper_agreement;
           Alcotest.test_case "shape index = brute force" `Quick
-            test_index_sound ] );
+            test_index_sound;
+          QCheck_alcotest.to_alcotest qc_pruning;
+          Alcotest.test_case "winner on demand" `Quick test_winner_on_demand ] );
       ( "counters",
         [ Alcotest.test_case "global registry conservation" `Quick
             test_global_registry_conservation ] );
